@@ -5,7 +5,7 @@ GO ?= go
 # that use (sweep runner, serve daemon) or feed (event kernel)
 # concurrency, and the exhaustive small-config protocol model check.
 .PHONY: check
-check: vet lint tablecover build test race modelcheck trace-smoke fleet-smoke fleet-chaos-smoke obs-fleet-smoke
+check: vet lint tablecover build test race modelcheck trace-smoke
 
 .PHONY: vet
 vet:
@@ -92,40 +92,36 @@ trace-smoke:
 	@rm -f /tmp/dstore-trace-smoke.json /tmp/dstore-trace-smoke.txt /tmp/dstore-trace-smoke.csv
 	@echo "trace-smoke: ok"
 
-# serve-smoke boots the dstore-serve daemon on a random loopback port,
-# submits one small job over real HTTP, resubmits it, and asserts the
-# second answer is a byte-identical cache hit (checked against the
-# /metrics counters).
+# The *-smoke targets below rerun, uncached, the tests that carry each
+# end-to-end walkthrough; `make test` already runs all of them.
+#
+# serve-smoke: one job submitted, resubmitted, and served as a
+# byte-identical cache hit with the hit and execution counters checked.
 .PHONY: serve-smoke
 serve-smoke:
-	$(GO) run ./cmd/dstore-serve -smoke
+	$(GO) test -count=1 -run '^TestCacheHitDeterminism$$' ./internal/serve
 
-# fleet-smoke boots an in-process fleet — two persistent dstore-serve
-# workers plus a dstore-coord coordinator — streams one sweep matrix
-# through it, SIGKILLs a worker, and asserts every job still answers
-# byte-identically via the hash ring's surviving replica.
+# fleet-smoke: real coordinator and worker processes, a 1000-job sweep,
+# a worker SIGKILLed mid-sweep, every result byte-identical to an
+# oracle; and a sweep failing over a dead ring member.
 .PHONY: fleet-smoke
 fleet-smoke:
-	$(GO) run ./cmd/dstore-coord -smoke
+	$(GO) test -count=1 -run '^(TestFleetE2E|TestSweepFailsOverDeadWorker)$$' ./internal/fleet
 
-# fleet-chaos-smoke runs the fault-tolerance walkthrough in-process:
-# a worker behind a chaosnet proxy is partitioned (jobs fail over,
-# the breaker trips), healed (a probe recloses it), then serves one
-# bit-flipped result body — which the coordinator's digest check must
-# catch, quarantine, and answer around from the replica.
+# fleet-chaos-smoke: a worker behind a chaosnet proxy is partitioned
+# (the breaker trips), healed, and serves one corrupted result body
+# (caught by the digest check and quarantined); the worker is then
+# requalified and its breaker reclosed by a probe.
 .PHONY: fleet-chaos-smoke
 fleet-chaos-smoke:
-	$(GO) run ./cmd/dstore-coord -chaos-smoke
+	$(GO) test -count=1 -run '^TestFleetChaosE2E$$' ./internal/fleet
 
-# obs-fleet-smoke exercises the observability plane end to end: two
-# named in-process workers plus a coordinator run a 12-job sweep, the
-# stitched cross-process Chrome trace from /v1/sweeps/{id}/trace is
-# re-parsed through encoding/json and must carry spans from the
-# coordinator and both workers under one trace ID, and the federated
-# /metrics aggregates must equal the sums of the workers' own scrapes.
+# obs-fleet-smoke: the stitched cross-process Chrome trace carries
+# spans from the coordinator and both workers under the outcomes' trace
+# ID, and the federated /metrics aggregates equal the per-worker sums.
 .PHONY: obs-fleet-smoke
 obs-fleet-smoke:
-	$(GO) run ./cmd/dstore-coord -obs-smoke
+	$(GO) test -count=1 -run '^TestStitchedTraceByteDeterminism$$' ./internal/fleet
 
 # bench regenerates the event-kernel microbenchmarks. Compare against
 # the committed baseline in BENCH_sim_engine.txt before merging engine

@@ -63,14 +63,14 @@ func TestRunWithConfigContextBackgroundIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepWithConfigsContextCancelled checks a cancelled sweep
+// TestSweepWithTimingsContextCancelled checks a cancelled sweep
 // reports every job as failed with the context error and still returns
 // a result slice of the right shape.
-func TestSweepWithConfigsContextCancelled(t *testing.T) {
+func TestSweepWithTimingsContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := StandardJobs(Small)[:4]
-	results, err := SweepWithConfigsContext(ctx, jobs, SweepOptions{Workers: 2})
+	results, _, err := SweepWithTimingsContext(ctx, jobs, SweepOptions{Workers: 2})
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}

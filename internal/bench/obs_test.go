@@ -120,7 +120,7 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 			jobs[i].DS.Obs = fullObs()
 			observers = append(observers, jobs[i].Base.Obs, jobs[i].DS.Obs)
 		}
-		if _, err := SweepWithConfigs(jobs, SweepOptions{Workers: workers}); err != nil {
+		if _, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: workers}); err != nil {
 			t.Fatalf("sweep (workers=%d): %v", workers, err)
 		}
 		var out [][]byte

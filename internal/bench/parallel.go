@@ -116,32 +116,17 @@ func (e *SweepError) FailedIndices() map[int]bool {
 	return m
 }
 
-// SweepWithConfigs runs every job and returns one Comparison per job, in
-// job order regardless of completion order. Each job builds its own
-// core.System and sim.Engine, so runs are fully independent and results
-// are identical whatever the worker count. If any job fails, the error
-// is a *SweepError listing every failure; successful entries in the
-// result slice are still valid.
-func SweepWithConfigs(jobs []SweepJob, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigsContext(context.Background(), jobs, opt)
-}
-
-// SweepWithConfigsContext is SweepWithConfigs under a context. On
+// SweepWithTimingsContext runs every job and returns one Comparison
+// per job, in job order regardless of completion order, plus each
+// job's host-side phase breakdown (setup/run/report, both runs of the
+// pair summed) as measured by opt.Clock; a nil clock reports zeros.
+// Each job builds its own core.System and sim.Engine, so runs are fully
+// independent and results are identical whatever the worker count. If
+// any job fails, the error is a *SweepError listing every failure;
+// successful entries in the result slice are still valid. On
 // cancellation, in-flight comparisons are abandoned mid-simulation and
 // not-yet-started jobs are skipped; both are reported in the
-// *SweepError as failures carrying ctx's error. With an uncancelled
-// context the results are byte-identical to SweepWithConfigs for any
-// worker count.
-func SweepWithConfigsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, error) {
-	results, _, err := SweepWithTimingsContext(ctx, jobs, opt)
-	return results, err
-}
-
-// SweepWithTimingsContext is SweepWithConfigsContext returning, in
-// addition, each job's host-side phase breakdown (setup/run/report,
-// both runs of the pair summed) as measured by opt.Clock. A nil clock
-// reports zeros. The Comparison slice is byte-identical to
-// SweepWithConfigsContext's for any worker count.
+// *SweepError as failures carrying ctx's error.
 func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, []HostPhases, error) {
 	results := make([]Comparison, len(jobs))
 	timings := make([]HostPhases, len(jobs))
@@ -198,11 +183,6 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 // using opt.Workers concurrent runs. The results are identical to
 // RunAll's, in the same Table II order.
 func RunAllParallel(in Input, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigs(StandardJobs(in), opt)
-}
-
-// RunAllParallelContext is RunAllParallel under a context, with
-// SweepWithConfigsContext's cancellation contract.
-func RunAllParallelContext(ctx context.Context, in Input, opt SweepOptions) ([]Comparison, error) {
-	return SweepWithConfigsContext(ctx, StandardJobs(in), opt)
+	results, _, err := SweepWithTimingsContext(context.Background(), StandardJobs(in), opt)
+	return results, err
 }

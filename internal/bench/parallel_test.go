@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -29,15 +30,15 @@ func subsetJobs(codes ...string) []SweepJob {
 // numbers.
 func TestParallelSweepDeterminism(t *testing.T) {
 	jobs := subsetJobs("BP", "HT", "GC", "BL", "PT")
-	seq1, err := SweepWithConfigs(jobs, SweepOptions{Workers: 1})
+	seq1, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := SweepWithConfigs(jobs, SweepOptions{Workers: 1})
+	seq2, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := SweepWithConfigs(jobs, SweepOptions{Workers: 8})
+	par, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRunAllParallelMatchesRunAll(t *testing.T) {
 // reports each failure with its position.
 func TestSweepAttemptsEveryJob(t *testing.T) {
 	jobs := subsetJobs("BP", "XX", "GC", "YY", "PT") // XX and YY do not exist
-	results, err := SweepWithConfigs(jobs, SweepOptions{Workers: 2})
+	results, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("sweep with unknown benchmarks reported no error")
 	}

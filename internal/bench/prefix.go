@@ -142,24 +142,3 @@ func RunWithSnapshotContext(ctx context.Context, code string, cfg core.Config, i
 	res, err := sealResult(sys, code, cfg, in, append(per, tail...))
 	return res, false, err
 }
-
-// sealResult finishes a run exactly the way RunWithConfigTimedContext
-// does: coherence check, observer seal, result assembly. Runs started
-// at tick 0, so the final clock is the total tick count.
-func sealResult(sys *core.System, code string, cfg core.Config, in Input, phases []sim.Tick) (Result, error) {
-	if err := sys.CheckCoherence(); err != nil {
-		return Result{}, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	cfg.Obs.FinishRun(sys.Now())
-	return Result{
-		Code: code, Mode: cfg.Mode, In: in,
-		Ticks:       sys.Now(),
-		PhaseTicks:  phases,
-		L2Accesses:  sys.GPUL2Accesses(),
-		L2Misses:    sys.GPUL2Misses(),
-		MissRate:    sys.GPUL2MissRate(),
-		Pushes:      sys.PushesReceived(),
-		XbarBytes:   sys.CoherenceTrafficBytes(),
-		DirectBytes: sys.DirectTrafficBytes(),
-	}, nil
-}

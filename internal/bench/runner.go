@@ -91,22 +91,29 @@ func RunWithConfigTimedContext(ctx context.Context, code string, cfg core.Config
 		return Result{}, hp, err
 	}
 	t1 := clock()
-	ticks, phases, err := w.RunPhasesContext(ctx, sys)
+	_, phases, err := w.RunPhasesContext(ctx, sys)
 	hp.RunNS = clock() - t1
 	if err != nil {
 		return Result{}, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
 	}
 	t2 := clock()
+	res, err := sealResult(sys, code, cfg, in, phases)
+	hp.ReportNS = clock() - t2
+	return res, hp, err
+}
+
+// sealResult finishes a run that started at tick 0, so the final clock
+// is the total tick count: coherence check, observer seal (so
+// time-series exports cover the whole run; a nil observer ignores it),
+// result assembly.
+func sealResult(sys *core.System, code string, cfg core.Config, in Input, phases []sim.Tick) (Result, error) {
 	if err := sys.CheckCoherence(); err != nil {
-		hp.ReportNS = clock() - t2
-		return Result{}, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
+		return Result{}, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
 	}
-	// Seal the observer's final sampling window at the run's end tick so
-	// time-series exports cover the whole run. A nil observer ignores it.
 	cfg.Obs.FinishRun(sys.Now())
-	res := Result{
+	return Result{
 		Code: code, Mode: cfg.Mode, In: in,
-		Ticks:       ticks,
+		Ticks:       sys.Now(),
 		PhaseTicks:  phases,
 		L2Accesses:  sys.GPUL2Accesses(),
 		L2Misses:    sys.GPUL2Misses(),
@@ -114,9 +121,7 @@ func RunWithConfigTimedContext(ctx context.Context, code string, cfg core.Config
 		Pushes:      sys.PushesReceived(),
 		XbarBytes:   sys.CoherenceTrafficBytes(),
 		DirectBytes: sys.DirectTrafficBytes(),
-	}
-	hp.ReportNS = clock() - t2
-	return res, hp, nil
+	}, nil
 }
 
 // Comparison holds a CCSM-vs-direct-store pair for one benchmark and
@@ -152,17 +157,12 @@ func Compare(code string, in Input) (Comparison, error) {
 // CompareWithConfigs runs one benchmark under two explicit
 // configurations (baseline first).
 func CompareWithConfigs(code string, in Input, base, ds core.Config) (Comparison, error) {
-	return CompareWithConfigsContext(context.Background(), code, in, base, ds)
-}
-
-// CompareWithConfigsContext is CompareWithConfigs under a context.
-func CompareWithConfigsContext(ctx context.Context, code string, in Input, base, ds core.Config) (Comparison, error) {
-	c, _, err := CompareWithConfigsTimedContext(ctx, code, in, base, ds, nil)
+	c, _, err := CompareWithConfigsTimedContext(context.Background(), code, in, base, ds, nil)
 	return c, err
 }
 
-// CompareWithConfigsTimedContext is CompareWithConfigsContext with a
-// host phase breakdown summed over the pair's two runs.
+// CompareWithConfigsTimedContext is CompareWithConfigs under a context,
+// with a host phase breakdown summed over the pair's two runs.
 func CompareWithConfigsTimedContext(ctx context.Context, code string, in Input, base, ds core.Config, clock obs.Clock) (Comparison, HostPhases, error) {
 	c := Comparison{Code: code, In: in}
 	var hp, h HostPhases

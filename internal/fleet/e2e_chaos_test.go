@@ -53,7 +53,7 @@ func TestFleetChaosE2E(t *testing.T) {
 		"-probe-interval", "300ms", "-probe-timeout", "2s",
 		"-poll-interval", "5ms", "-sweep-workers", "32",
 		"-failure-threshold", "2", "-breaker-cooldown", "500ms",
-		"-quarantine-cooldown", "2s",
+		"-quarantine-cooldown", "1s",
 		"-backoff-base", "20ms", "-backoff-max", "200ms",
 	}
 	coord := startProc(t, coordBin, "dstore-coord listening on ", coordArgs...)
@@ -222,8 +222,8 @@ func TestFleetChaosE2E(t *testing.T) {
 	}
 
 	// The chaos must have been felt and handled: the partition tripped
-	// the proxied worker's breaker, a probe reclosed it after the heal,
-	// and the corrupted body was caught and quarantined — never served.
+	// the proxied worker's breaker, and the corrupted body was caught
+	// and quarantined — never served.
 	if err := getJSONInto(client, coord2.url+"/v1/stats", &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +239,37 @@ func TestFleetChaosE2E(t *testing.T) {
 	counts := proxy.Counts()
 	if counts.Partitioned == 0 || counts.Corruptions != 1 {
 		t.Fatalf("proxy injections off: %+v", counts)
+	}
+
+	// Rehabilitation: once the quarantine cooldown has passed, a
+	// successful probe requalifies the proxied worker and recloses its
+	// breaker, both paths are counted, and the worker answers its own
+	// jobs again with clean bytes.
+	awaitWorkerHealthy(t, client, coord2.url, phs.URL, 20*time.Second)
+	if err := getJSONInto(client, coord2.url+"/v1/stats", &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["fleet_breaker_recloses_total"] == 0 || stats["fleet_requalified_total"] == 0 {
+		t.Fatalf("proxied worker healthy again but reclose/requalification not counted: %v", stats)
+	}
+	var owned *Outcome
+	for i := range all {
+		if all[i].Worker == phs.URL {
+			owned = &all[i]
+			break
+		}
+	}
+	if owned == nil {
+		t.Fatal("the proxied worker served no sweep results")
+	}
+	runRes, body := postBody(t, coord2.url+"/v1/runs", string(owned.Spec), nil)
+	var rr runResp
+	if err := json.Unmarshal(body, &rr); err != nil || runRes.StatusCode != http.StatusOK {
+		t.Fatalf("post-requalification job %.8s: %d %v: %s", owned.ID, runRes.StatusCode, err, body)
+	}
+	if w := runRes.Header.Get("X-Dstore-Worker"); w != phs.URL || !bytes.Equal(rr.Result, owned.Result) {
+		t.Fatalf("post-requalification job %.8s answered by %s, bytes equal %v; want the requalified %s with the same bytes",
+			owned.ID, w, bytes.Equal(rr.Result, owned.Result), phs.URL)
 	}
 
 	// Oracle: a fresh single-process worker re-runs every canonical
@@ -257,4 +288,29 @@ func TestFleetChaosE2E(t *testing.T) {
 		}
 	}
 	t.Logf("chaos e2e: %d results byte-identical to oracle after crash-resume + partition + corruption", wantJobs)
+}
+
+// awaitWorkerHealthy polls GET /v1/workers until the worker at url
+// reports healthy (breaker closed, not quarantined), failing the test
+// if that does not happen within the bound.
+func awaitWorkerHealthy(t *testing.T, c *http.Client, base, url string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within) //dstore:allow-wallclock test polling deadline
+	var lst struct {
+		Workers []workerState `json:"workers"`
+	}
+	for {
+		if err := getJSONInto(c, base+"/v1/workers", &lst); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range lst.Workers {
+			if w.URL == url && w.Healthy {
+				return
+			}
+		}
+		if time.Now().After(deadline) { //dstore:allow-wallclock test polling deadline
+			t.Fatalf("worker %s not healthy within %v: %+v", url, within, lst.Workers)
+		}
+		time.Sleep(50 * time.Millisecond) //dstore:allow-wallclock test polling
+	}
 }

@@ -11,103 +11,97 @@ import (
 	"dstore/internal/stats"
 )
 
-// metricDefs lists every scalar coordinator metric in a fixed order,
-// with its Prometheus type. /metrics and /v1/stats both render from
-// this table (the same convention as internal/serve), so the two
-// views can never disagree on names. The keys are registered in
-// internal/stats/registry.go.
-var metricDefs = []struct {
+// metricView is one read of the coordinator's counters, taken once
+// per scrape so every metricDefs row sees the same instant.
+type metricView struct {
+	c                                         *Coordinator
+	healthy, workers                          int
+	probes, probeFailures                     uint64
+	trips, recloses, quarantines, requalified uint64
+	started, done                             uint64
+	pending                                   int64
+	spansRecorded, spansDropped               uint64
+	dispatchLat                               *obs.Histogram
+}
+
+func (c *Coordinator) readMetrics() *metricView {
+	v := &metricView{c: c, dispatchLat: c.dispatchLatSnapshot()}
+	v.healthy, v.workers = c.reg.healthyCount()
+	v.probes, v.probeFailures = c.reg.probeCounts()
+	v.trips, v.recloses, v.quarantines, v.requalified = c.reg.breakerCounts()
+	v.started = c.sweepsRun.Load()
+	v.done = c.sweepsDone.Load()
+	v.pending = max(c.pending.Load(), 0)
+	v.spansRecorded, v.spansDropped = c.rec.Counts()
+	return v
+}
+
+// metricDef is one scalar coordinator metric: its Prometheus name and
+// type and how to read it from a view. Counters and gauges read value;
+// the histogram reads hist, and /v1/stats reports its sample count.
+type metricDef struct {
 	name, kind string
-}{
-	{"fleet_workers", "gauge"},
-	{"fleet_workers_healthy", "gauge"},
-	{"fleet_probes_total", "counter"},
-	{"fleet_probe_failures_total", "counter"},
-	{"fleet_jobs_dispatched_total", "counter"},
-	{"fleet_jobs_completed_total", "counter"},
-	{"fleet_jobs_failed_total", "counter"},
-	{"fleet_dispatch_failovers_total", "counter"},
-	{"fleet_sweeps_started_total", "counter"},
-	{"fleet_sweeps_completed_total", "counter"},
-	{"fleet_sweeps_active", "gauge"},
-	{"fleet_sweep_results_streamed_total", "counter"},
-	{"fleet_dispatch_retry_rounds_total", "counter"},
-	{"fleet_breaker_trips_total", "counter"},
-	{"fleet_breaker_recloses_total", "counter"},
-	{"fleet_workers_quarantined", "gauge"},
-	{"fleet_quarantines_total", "counter"},
-	{"fleet_requalified_total", "counter"},
-	{"fleet_corrupt_results_total", "counter"},
-	{"fleet_sweeps_degraded_total", "counter"},
-	{"fleet_sweeps_resumed_total", "counter"},
-	{"fleet_jobs_replayed_total", "counter"},
-	{"coord_pending_jobs", "gauge"},
-	{"coord_shed_total", "counter"},
-	{"coord_journal_appends_total", "counter"},
-	{"coord_journal_errors_total", "counter"},
-	{"fleet_federation_scrapes_total", "counter"},
-	{"fleet_federation_errors_total", "counter"},
-	{"fleet_trace_exports_total", "counter"},
-	{"coord_profile_captures_total", "counter"},
+	value      func(v *metricView) uint64
+	hist       func(v *metricView) *obs.Histogram
+}
+
+func (d metricDef) read(v *metricView) uint64 {
+	if d.hist != nil {
+		return d.hist(v).Count()
+	}
+	return d.value(v)
+}
+
+// metricDefs lists every scalar coordinator metric in a fixed order.
+// /metrics and /v1/stats both render from this table (the same
+// convention as internal/serve), so the two views can never disagree
+// on names or values.
+var metricDefs = []metricDef{
+	{"fleet_workers", "gauge", func(v *metricView) uint64 { return uint64(v.workers) }, nil},
+	{"fleet_workers_healthy", "gauge", func(v *metricView) uint64 { return uint64(v.healthy) }, nil},
+	{"fleet_probes_total", "counter", func(v *metricView) uint64 { return v.probes }, nil},
+	{"fleet_probe_failures_total", "counter", func(v *metricView) uint64 { return v.probeFailures }, nil},
+	{"fleet_jobs_dispatched_total", "counter", func(v *metricView) uint64 { return v.c.dispatched.Load() }, nil},
+	{"fleet_jobs_completed_total", "counter", func(v *metricView) uint64 { return v.c.completed.Load() }, nil},
+	{"fleet_jobs_failed_total", "counter", func(v *metricView) uint64 { return v.c.jobsFailed.Load() }, nil},
+	{"fleet_dispatch_failovers_total", "counter", func(v *metricView) uint64 { return v.c.failovers.Load() }, nil},
+	{"fleet_sweeps_started_total", "counter", func(v *metricView) uint64 { return v.started }, nil},
+	{"fleet_sweeps_completed_total", "counter", func(v *metricView) uint64 { return v.done }, nil},
+	{"fleet_sweeps_active", "gauge", func(v *metricView) uint64 { return v.started - v.done }, nil},
+	{"fleet_sweep_results_streamed_total", "counter", func(v *metricView) uint64 { return v.c.streamed.Load() }, nil},
+	{"fleet_dispatch_retry_rounds_total", "counter", func(v *metricView) uint64 { return v.c.retryRounds.Load() }, nil},
+	{"fleet_breaker_trips_total", "counter", func(v *metricView) uint64 { return v.trips }, nil},
+	{"fleet_breaker_recloses_total", "counter", func(v *metricView) uint64 { return v.recloses }, nil},
+	{"fleet_workers_quarantined", "gauge", func(v *metricView) uint64 { return uint64(v.c.reg.quarantinedCount()) }, nil},
+	{"fleet_quarantines_total", "counter", func(v *metricView) uint64 { return v.quarantines }, nil},
+	{"fleet_requalified_total", "counter", func(v *metricView) uint64 { return v.requalified }, nil},
+	{"fleet_corrupt_results_total", "counter", func(v *metricView) uint64 { return v.c.corrupt.Load() }, nil},
+	{"fleet_sweeps_degraded_total", "counter", func(v *metricView) uint64 { return v.c.sweepsDegraded.Load() }, nil},
+	{"fleet_sweeps_resumed_total", "counter", func(v *metricView) uint64 { return v.c.sweepsResumed.Load() }, nil},
+	{"fleet_jobs_replayed_total", "counter", func(v *metricView) uint64 { return v.c.jobsReplayed.Load() }, nil},
+	{"coord_pending_jobs", "gauge", func(v *metricView) uint64 { return uint64(v.pending) }, nil},
+	{"coord_shed_total", "counter", func(v *metricView) uint64 { return v.c.shed.Load() }, nil},
+	{"coord_journal_appends_total", "counter", func(v *metricView) uint64 { return v.c.journalAppends.Load() }, nil},
+	{"coord_journal_errors_total", "counter", func(v *metricView) uint64 { return v.c.journalErrors.Load() }, nil},
+	{"fleet_federation_scrapes_total", "counter", func(v *metricView) uint64 { return v.c.fedScrapes.Load() }, nil},
+	{"fleet_federation_errors_total", "counter", func(v *metricView) uint64 { return v.c.fedErrors.Load() }, nil},
+	{"fleet_trace_exports_total", "counter", func(v *metricView) uint64 { return v.c.traceExports.Load() }, nil},
+	{"coord_profile_captures_total", "counter", func(v *metricView) uint64 { return v.c.profileCaps.Load() }, nil},
 	// The coordinator's span-ring counters use the coord_ prefix — the
 	// workers' own obs_spans_* families arrive via federation below,
 	// and one exposition must not carry the same family twice.
-	{"coord_spans_recorded_total", "counter"},
-	{"coord_spans_dropped_total", "counter"},
-	{"fleet_dispatch_latency_ns", "histogram"},
+	{"coord_spans_recorded_total", "counter", func(v *metricView) uint64 { return v.spansRecorded }, nil},
+	{"coord_spans_dropped_total", "counter", func(v *metricView) uint64 { return v.spansDropped }, nil},
+	{"fleet_dispatch_latency_ns", "histogram", nil, func(v *metricView) *obs.Histogram { return v.dispatchLat }},
 }
 
 // snapshot materializes the scalar metrics as a stats.Set in
 // metricDefs order.
 func (c *Coordinator) snapshot() *stats.Set {
-	healthy, total := c.reg.healthyCount()
-	probes, probeFailures := c.reg.probeCounts()
-	trips, recloses, quarantines, requalified := c.reg.breakerCounts()
-	started := c.sweepsRun.Load()
-	done := c.sweepsDone.Load()
-	pending := c.pending.Load()
-	if pending < 0 {
-		pending = 0
-	}
-	values := map[string]uint64{
-		"fleet_workers":                      uint64(total),
-		"fleet_workers_healthy":              uint64(healthy),
-		"fleet_probes_total":                 probes,
-		"fleet_probe_failures_total":         probeFailures,
-		"fleet_jobs_dispatched_total":        c.dispatched.Load(),
-		"fleet_jobs_completed_total":         c.completed.Load(),
-		"fleet_jobs_failed_total":            c.jobsFailed.Load(),
-		"fleet_dispatch_failovers_total":     c.failovers.Load(),
-		"fleet_sweeps_started_total":         started,
-		"fleet_sweeps_completed_total":       done,
-		"fleet_sweeps_active":                started - done,
-		"fleet_sweep_results_streamed_total": c.streamed.Load(),
-		"fleet_dispatch_retry_rounds_total":  c.retryRounds.Load(),
-		"fleet_breaker_trips_total":          trips,
-		"fleet_breaker_recloses_total":       recloses,
-		"fleet_workers_quarantined":          uint64(c.reg.quarantinedCount()),
-		"fleet_quarantines_total":            quarantines,
-		"fleet_requalified_total":            requalified,
-		"fleet_corrupt_results_total":        c.corrupt.Load(),
-		"fleet_sweeps_degraded_total":        c.sweepsDegraded.Load(),
-		"fleet_sweeps_resumed_total":         c.sweepsResumed.Load(),
-		"fleet_jobs_replayed_total":          c.jobsReplayed.Load(),
-		"coord_pending_jobs":                 uint64(pending),
-		"coord_shed_total":                   c.shed.Load(),
-		"coord_journal_appends_total":        c.journalAppends.Load(),
-		"coord_journal_errors_total":         c.journalErrors.Load(),
-		"fleet_federation_scrapes_total":     c.fedScrapes.Load(),
-		"fleet_federation_errors_total":      c.fedErrors.Load(),
-		"fleet_trace_exports_total":          c.traceExports.Load(),
-		"coord_profile_captures_total":       c.profileCaps.Load(),
-	}
-	spansRecorded, spansDropped := c.rec.Counts()
-	values["coord_spans_recorded_total"] = spansRecorded
-	values["coord_spans_dropped_total"] = spansDropped
-	values["fleet_dispatch_latency_ns"] = c.dispatchLatSnapshot().Count()
+	v := c.readMetrics()
 	set := stats.NewSet()
 	for _, d := range metricDefs {
-		set.Counter(d.name).Add(values[d.name]) //dstore:allow-statskey Prometheus names from metricDefs
+		set.Counter(d.name).Add(d.read(v)) //dstore:allow-statskey Prometheus names from metricDefs
 	}
 	return set
 }
@@ -117,15 +111,14 @@ func (c *Coordinator) snapshot() *stats.Set {
 // labelled by worker URL (health, last-scraped queue depth and cache
 // hit rate, cumulative executed jobs).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	set := c.snapshot()
+	v := c.readMetrics()
 	var b strings.Builder
 	for _, d := range metricDefs {
-		if d.kind == "histogram" {
-			c.dispatchLatSnapshot().WriteProm(&b, d.name)
+		if d.hist != nil {
+			d.hist(v).WriteProm(&b, d.name)
 			continue
 		}
-		//dstore:allow-statskey Prometheus names from metricDefs
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", d.name, d.kind, d.name, set.Get(d.name))
+		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", d.name, d.kind, d.name, d.value(v))
 	}
 	_, states := c.reg.snapshot()
 	perWorker := []struct {

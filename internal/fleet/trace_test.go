@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
 
+	"dstore/internal/obs/dtrace"
 	"dstore/internal/serve"
 )
 
@@ -130,6 +132,7 @@ func (ht handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 type obsStack struct {
 	base  string
 	coord *Coordinator
+	ht    handlerTransport
 }
 
 func startObsStack(t *testing.T) *obsStack {
@@ -165,7 +168,7 @@ func startObsStack(t *testing.T) *obsStack {
 		hs.Close()
 		c.Close()
 	})
-	return &obsStack{base: hs.URL, coord: c}
+	return &obsStack{base: hs.URL, coord: c, ht: ht}
 }
 
 // TestStitchedTraceByteDeterminism runs the same sweep on two isolated
@@ -174,11 +177,13 @@ func startObsStack(t *testing.T) *obsStack {
 // spans from the coordinator and both worker processes under one trace
 // ID. This is the acceptance bar for the whole tracing layer: any
 // nondeterminism in span recording, merging or rendering shows up as a
-// byte diff here.
+// byte diff here. Each stack's federated /metrics must also sum the
+// workers' own scrapes.
 func TestStitchedTraceByteDeterminism(t *testing.T) {
 	matrix := `{"bench":["MT","VA","BL"],"mode":["direct-store"],"config":{"prefetch_depth":[0,2]}}`
 	var traces [][]byte
 	var workerSets []map[string]bool
+	var traceID string
 	for run := 0; run < 2; run++ {
 		s := startObsStack(t)
 		results, report, sweepID := runSweepNDJSON(t, s.base, matrix)
@@ -187,10 +192,15 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 		}
 		byWorker := map[string]bool{}
 		for _, o := range results {
+			if o.Trace == "" {
+				t.Fatalf("run %d: job %.8s outcome carries no trace id", run, o.ID)
+			}
 			byWorker[o.Worker] = true
 		}
+		traceID = results[0].Trace
 		workerSets = append(workerSets, byWorker)
 		traces = append(traces, getTrace(t, s.base, sweepID))
+		checkFederation(t, s)
 	}
 	if len(workerSets[0]) < 2 {
 		t.Fatalf("ring placed all 6 jobs on one worker: %v", workerSets[0])
@@ -207,9 +217,13 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 			Pid  int               `json:"pid"`
 			Args map[string]string `json:"args"`
 		} `json:"traceEvents"`
+		OtherData map[string]string `json:"otherData"`
 	}
 	if err := json.Unmarshal(traces[0], &doc); err != nil {
 		t.Fatal(err)
+	}
+	if got := doc.OtherData["trace"]; got != traceID {
+		t.Fatalf("stitched trace id %q, want the outcomes' %q", got, traceID)
 	}
 	processes := map[int]string{}
 	spans := map[int]int{}
@@ -228,6 +242,59 @@ func TestStitchedTraceByteDeterminism(t *testing.T) {
 	for _, name := range []string{"coordinator", "worker-0", "worker-1"} {
 		if withSpans[name] == 0 {
 			t.Fatalf("no spans from process %q in stitched trace (got %v)", name, withSpans)
+		}
+	}
+}
+
+// checkFederation scrapes both workers directly and the coordinator's
+// federated /metrics, and requires the unlabelled fleet aggregate of
+// each family that moved during the sweep to equal the per-worker sum.
+func checkFederation(t *testing.T, s *obsStack) {
+	t.Helper()
+	scrape := func(c *http.Client, url string) *dtrace.Metrics {
+		resp, err := c.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v: %s", url, resp.StatusCode, err, b)
+		}
+		m, err := dtrace.Parse(string(b))
+		if err != nil {
+			t.Fatalf("parse %s: %v", url, err)
+		}
+		return m
+	}
+	unlabelled := func(m *dtrace.Metrics, name string) (float64, bool) {
+		for _, smp := range m.Samples {
+			if smp.Name == name && smp.Labels == "" {
+				return smp.Value, true
+			}
+		}
+		return 0, false
+	}
+	direct := &http.Client{Transport: s.ht}
+	workers := []*dtrace.Metrics{scrape(direct, "http://w0/metrics"), scrape(direct, "http://w1/metrics")}
+	fed := scrape(http.DefaultClient, s.base+"/metrics")
+	for _, name := range []string{
+		"dstore_serve_jobs_executed_total",
+		"dstore_serve_cache_misses_total",
+		"obs_spans_recorded_total",
+		"dstore_serve_queue_wait_ns_count",
+	} {
+		var sum float64
+		for _, m := range workers {
+			v, _ := unlabelled(m, name)
+			sum += v
+		}
+		got, ok := unlabelled(fed, name)
+		if !ok {
+			t.Fatalf("federated /metrics has no fleet aggregate for %s", name)
+		}
+		if got != sum || sum == 0 {
+			t.Fatalf("federated %s = %g, per-worker sum = %g (want equal and non-zero)", name, got, sum)
 		}
 	}
 }
