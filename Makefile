@@ -123,12 +123,13 @@ fleet-chaos-smoke:
 obs-fleet-smoke:
 	$(GO) test -count=1 -run '^TestStitchedTraceByteDeterminism$$' ./internal/fleet
 
-# bench regenerates the event-kernel microbenchmarks. Compare against
-# the committed baseline in BENCH_sim_engine.txt before merging engine
-# changes.
+# bench runs the layer microbenchmarks: the event kernel, TLB
+# translation (hit and evicting walk) and crossbar sends. Compare the
+# event-kernel lines against the committed baseline in
+# BENCH_sim_engine.txt before merging engine changes.
 .PHONY: bench
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim ./internal/mmu ./internal/interconnect
 
 .PHONY: baseline
 baseline:

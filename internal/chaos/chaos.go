@@ -222,7 +222,7 @@ func (f *FaultPlan) Config(onFailure func(error)) *core.ChaosConfig {
 	ch.Resilience.Enabled = f.prof.needsResilience()
 	if f.prof.NetJitterProb > 0 {
 		ch.WrapNet = func(e *sim.Engine, n interconnect.Network) interconnect.Network {
-			return &chaosNet{inner: n, engine: e, f: f, lastPair: make(map[string]sim.Tick)}
+			return &chaosNet{inner: n, engine: e, f: f, lastPair: make(map[portPair]sim.Tick)}
 		}
 	}
 	if f.prof.PushDropProb > 0 || f.prof.PushDupProb > 0 || f.prof.PushJitterProb > 0 {
@@ -242,20 +242,25 @@ type chaosNet struct {
 	inner    interconnect.Network
 	engine   *sim.Engine
 	f        *FaultPlan
-	lastPair map[string]sim.Tick
+	lastPair map[portPair]sim.Tick
 }
 
-func (n *chaosNet) Name() string          { return n.inner.Name() }
-func (n *chaosNet) Counters() *stats.Set  { return n.inner.Counters() }
-func (n *chaosNet) TotalBytes() uint64    { return n.inner.TotalBytes() }
-func (n *chaosNet) TotalMessages() uint64 { return n.inner.TotalMessages() }
+// portPair keys chaosNet's per-pair FIFO clamp.
+type portPair struct{ src, dst interconnect.Port }
 
-func (n *chaosNet) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+func (n *chaosNet) Name() string                        { return n.inner.Name() }
+func (n *chaosNet) Port(name string) interconnect.Port  { return n.inner.Port(name) }
+func (n *chaosNet) PortName(p interconnect.Port) string { return n.inner.PortName(p) }
+func (n *chaosNet) Counters() *stats.Set                { return n.inner.Counters() }
+func (n *chaosNet) TotalBytes() uint64                  { return n.inner.TotalBytes() }
+func (n *chaosNet) TotalMessages() uint64               { return n.inner.TotalMessages() }
+
+func (n *chaosNet) Transmit(src, dst interconnect.Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	if deliver == nil {
-		return n.inner.Send(src, dst, size, nil)
+		return n.inner.Transmit(src, dst, size, nil)
 	}
-	key := src + "\x00" + dst
-	return n.inner.Send(src, dst, size, func(arr sim.Tick) {
+	key := portPair{src, dst}
+	return n.inner.Transmit(src, dst, size, func(arr sim.Tick) {
 		at := arr
 		if n.f.draw(n.f.prof.NetJitterProb, n.f.netJitter) {
 			at += n.f.magnitude(n.f.prof.NetJitterMax)
@@ -272,13 +277,13 @@ func (n *chaosNet) Send(src, dst string, size int, deliver func(now sim.Tick)) s
 	})
 }
 
-// SendArg funnels through Send: chaos wrapping is cold, so the adapter
-// closure it allocates per message is irrelevant.
-func (n *chaosNet) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// TransmitArg funnels through Transmit: chaos wrapping is cold, so
+// the adapter closure it allocates per message is irrelevant.
+func (n *chaosNet) TransmitArg(src, dst interconnect.Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	if fn == nil {
-		return n.Send(src, dst, size, nil)
+		return n.Transmit(src, dst, size, nil)
 	}
-	return n.Send(src, dst, size, func(now sim.Tick) { fn(arg, now) })
+	return n.Transmit(src, dst, size, func(now sim.Tick) { fn(arg, now) })
 }
 
 // chaosDirect wraps the dedicated push link with message loss,

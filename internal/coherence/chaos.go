@@ -120,9 +120,9 @@ func (c *Ctrl) sendPushAttempt(pp *pendingPush) {
 	deliver := func(sim.Tick) { target.ReceivePutx(p, nil) }
 	if c.cfg.DirectOverXbar {
 		if c.cfg.DirectGetx {
-			c.xbar.Send(c.name, target.name, interconnect.CtrlMsgBytes, nil)
+			c.xbar.Transmit(c.port, target.port, interconnect.CtrlMsgBytes, nil)
 		}
-		c.xbar.Send(c.name, target.name, interconnect.DataMsgBytes, deliver)
+		c.xbar.Transmit(c.port, target.port, interconnect.DataMsgBytes, deliver)
 	} else {
 		if c.cfg.DirectGetx {
 			c.directLink.Send(interconnect.CtrlMsgBytes, nil)
@@ -187,12 +187,15 @@ func (c *Ctrl) receivePutxResilient(p PutxMsg) {
 // sendPushAck returns an acknowledgement (or NACK) to the push sender
 // over the shared crossbar as a control message.
 func (c *Ctrl) sendPushAck(p PutxMsg, nack bool) {
-	sender := c.mem.peers[p.From]
+	var sender *Ctrl
+	if int(p.From) < len(c.mem.peers) {
+		sender = c.mem.peers[p.From]
+	}
 	if sender == nil {
-		panic(fmt.Sprintf("coherence %s: push ack for unknown sender %q", c.name, p.From))
+		panic(fmt.Sprintf("coherence %s: push ack for unknown sender %q", c.name, c.mem.portName(p.From)))
 	}
 	ack := PushAckMsg{Addr: p.Addr, Seq: p.Seq, Nack: nack}
-	c.xbar.Send(c.name, p.From, interconnect.CtrlMsgBytes, func(sim.Tick) {
+	c.xbar.Transmit(c.port, p.From, interconnect.CtrlMsgBytes, func(sim.Tick) {
 		sender.receivePushAck(ack)
 	})
 }

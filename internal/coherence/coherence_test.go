@@ -29,15 +29,7 @@ func newRig(t *testing.T, mshrs, cacheBytes, ways int) *rig {
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
 	var mem *MemCtrl
-	mem = NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, requester string) []string {
-		var out []string
-		for _, n := range []string{"cpu", "gpu0"} {
-			if n != requester {
-				out = append(out, n)
-			}
-		}
-		return out
-	})
+	mem = NewMemCtrl(e, "mem", xbar, d, Probes{CPU: "cpu", Slices: []string{"gpu0"}})
 	l1cfg := cache.Config{Name: "cpu.l1d", SizeBytes: 1024, Ways: 2}
 	cpu := NewCtrl(e, CtrlConfig{
 		Name:     "cpu",
@@ -410,7 +402,7 @@ func TestDirectGetxSendsExtraControlFlit(t *testing.T) {
 		e := sim.NewEngine()
 		xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 		d := dram.New(e, dram.DefaultConfig())
-		mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+		mem := NewMemCtrl(e, "mem", xbar, d, Probes{})
 		cpu := NewCtrl(e, CtrlConfig{
 			Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 			L2HitLat: 12, MSHRs: 4, DirectGetx: getx,
@@ -588,7 +580,7 @@ func TestDirectOverXbarAblation(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, Probes{})
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4, DirectOverXbar: true,
@@ -622,7 +614,7 @@ func TestPushWriteThroughAblation(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, Probes{})
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,
@@ -666,7 +658,7 @@ func TestPushOverflowToDRAM(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, Probes{})
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,
@@ -827,7 +819,7 @@ func TestStoreToOverflowedPushReinstalls(t *testing.T) {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := NewMemCtrl(e, "mem", xbar, d, func(memsys.Addr, string) []string { return nil })
+	mem := NewMemCtrl(e, "mem", xbar, d, Probes{})
 	cpu := NewCtrl(e, CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 4096, Ways: 2},
 		L2HitLat: 12, MSHRs: 4,

@@ -60,6 +60,7 @@ type Ctrl struct {
 	cfg    CtrlConfig
 	name   string
 	xbar   interconnect.Network
+	port   interconnect.Port
 	mem    *MemCtrl
 
 	l1   *cache.Cache
@@ -125,6 +126,7 @@ func NewCtrl(engine *sim.Engine, cfg CtrlConfig, xbar interconnect.Network, mem 
 		cfg:           cfg,
 		name:          cfg.Name,
 		xbar:          xbar,
+		port:          xbar.Port(cfg.Name),
 		mem:           mem,
 		l2:            cache.New(cfg.L2),
 		mshr:          cache.NewMSHR(cfg.MSHRs),
@@ -347,7 +349,7 @@ func (c *Ctrl) sendReq(msg ReqMsg, size int) {
 	c.obsSend(msg)
 	pk := c.mem.pkt(pkRecvReq)
 	pk.rmsg = msg
-	c.xbar.SendArg(c.name, c.mem.Name(), size, runPkt, pk)
+	c.xbar.TransmitArg(c.port, c.mem.port, size, runPkt, pk)
 }
 
 // missPath sends the demand miss into the protocol.
@@ -386,7 +388,7 @@ func (c *Ctrl) missPath(req *memsys.Request, line memsys.Addr, wantX bool) {
 	if wantX {
 		rtype = GETX
 	}
-	c.sendReq(ReqMsg{Type: rtype, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: rtype, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 	if c.cfg.OnDemandMiss != nil && req.Done != nil {
 		c.cfg.OnDemandMiss(line)
 	}
@@ -409,7 +411,7 @@ func (c *Ctrl) Prefetch(line memsys.Addr) {
 	}
 	e, _ := c.mshr.Allocate(line)
 	_ = e
-	c.sendReq(ReqMsg{Type: GETS, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: GETS, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 }
 
 // RemoteLoad submits an uncacheable load to the direct-store region
@@ -436,7 +438,7 @@ func (c *Ctrl) remoteLoadStart(req *memsys.Request) {
 	if len(waiting) > 0 {
 		return // request already in flight
 	}
-	c.sendReq(ReqMsg{Type: RemoteLoad, Addr: line, From: c.name}, interconnect.CtrlMsgBytes)
+	c.sendReq(ReqMsg{Type: RemoteLoad, Addr: line, From: c.port}, interconnect.CtrlMsgBytes)
 }
 
 // processDirectStore performs the remote-store transition of Fig. 3:
@@ -475,7 +477,7 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 	if target == nil {
 		panic(fmt.Sprintf("coherence %s: no push target for %#x", c.name, uint64(line)))
 	}
-	p := PutxMsg{Addr: line, Ver: req.Ver, From: c.name}
+	p := PutxMsg{Addr: line, Ver: req.Ver, From: c.port}
 	if c.obs != nil {
 		to := c.obs.Component(target.name)
 		now := c.engine.Now()
@@ -495,9 +497,9 @@ func (c *Ctrl) processDirectStore(req *memsys.Request, line memsys.Addr) {
 		// Ablation: no dedicated network — the push rides the shared
 		// coherence crossbar and contends with everything else.
 		if c.cfg.DirectGetx {
-			c.xbar.Send(c.name, target.name, interconnect.CtrlMsgBytes, nil)
+			c.xbar.Transmit(c.port, target.port, interconnect.CtrlMsgBytes, nil)
 		}
-		c.xbar.SendArg(c.name, target.name, interconnect.DataMsgBytes, runPkt, pk)
+		c.xbar.TransmitArg(c.port, target.port, interconnect.DataMsgBytes, runPkt, pk)
 		return
 	}
 	if c.cfg.DirectGetx {
@@ -536,7 +538,7 @@ func (c *Ctrl) applyPutx(p PutxMsg) {
 	if !pending && c.l2.SetFull(line) {
 		c.pushOverflow.Inc()
 		c.bufferWriteback(line, p.Ver)
-		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: p.Ver}, interconnect.DataMsgBytes)
+		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: p.Ver}, interconnect.DataMsgBytes)
 		return
 	}
 	if pending {
@@ -557,7 +559,7 @@ func (c *Ctrl) applyPutx(p PutxMsg) {
 		c.installLine(line, st, dirty, p.Ver)
 		c.obs.PushInstalled(c.engine.Now(), line)
 		c.bufferWriteback(line, p.Ver)
-		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: p.Ver}, interconnect.DataMsgBytes)
+		c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: p.Ver}, interconnect.DataMsgBytes)
 		return
 	}
 	c.installLine(line, st, dirty, p.Ver)
@@ -586,7 +588,7 @@ func (c *Ctrl) installLine(line memsys.Addr, st State, dirty bool, ver uint64) {
 	if v.Dirty {
 		c.bufferWriteback(v.Addr, vv)
 		c.wbSent.Inc()
-		c.sendReq(ReqMsg{Type: WB, Addr: v.Addr, From: c.name, Ver: vv}, interconnect.DataMsgBytes)
+		c.sendReq(ReqMsg{Type: WB, Addr: v.Addr, From: c.port, Ver: vv}, interconnect.DataMsgBytes)
 	}
 }
 
@@ -626,7 +628,7 @@ func (c *Ctrl) receiveProbe(p ProbeMsg) {
 
 func (c *Ctrl) answerProbe(p ProbeMsg) {
 	line := p.Addr
-	ack := AckMsg{Addr: line, From: c.name}
+	ack := AckMsg{Addr: line, From: c.port}
 
 	if ls := c.lines.at(line); ls.flags&lsWB != 0 && ls.flags&lsWBStale == 0 {
 		ver := ls.wbVer
@@ -717,18 +719,18 @@ func (c *Ctrl) supplyToRequester(p ProbeMsg, ver uint64, dirty bool) {
 	d := DataMsg{Addr: p.Addr, Ver: ver, Grant: grant, Owned: owned}
 	requester := p.Requester
 	if c.obs != nil {
-		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(requester))
+		c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgData, p.Addr, c.obs.Component(c.mem.portName(requester)))
 	}
 	pk := c.mem.pkt(pkRecvData)
 	pk.c, pk.data = c.mem.peers[requester], d
-	c.xbar.SendArg(c.name, requester, interconnect.DataMsgBytes, runPkt, pk)
+	c.xbar.TransmitArg(c.port, requester, interconnect.DataMsgBytes, runPkt, pk)
 }
 
 func (c *Ctrl) sendAck(ack AckMsg) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgAck, ack.Addr, c.obsMem)
 	pk := c.mem.pkt(pkRecvAck)
 	pk.ack = ack
-	c.xbar.SendArg(c.name, c.mem.Name(), interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.TransmitArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // receiveData completes an outstanding miss (or remote load).
@@ -810,7 +812,7 @@ func (c *Ctrl) receiveData(d DataMsg) {
 			// without the entry it would read stale DRAM.
 			fillVer = w.Ver
 			c.bufferWriteback(line, w.Ver)
-			c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.name, Ver: w.Ver}, interconnect.DataMsgBytes)
+			c.sendReq(ReqMsg{Type: WB, Addr: line, From: c.port, Ver: w.Ver}, interconnect.DataMsgBytes)
 			c.engine.ScheduleArg(0, completeReq, w)
 		default:
 			// Vanished line or insufficient grant: replay.
@@ -826,7 +828,7 @@ func (c *Ctrl) unblock(line memsys.Addr) {
 	c.obs.Msg(c.engine.Now(), c.obsID, obs.MsgUnblock, line, c.obsMem)
 	pk := c.mem.pkt(pkRecvUnblock)
 	pk.line = line
-	c.xbar.SendArg(c.name, c.mem.Name(), interconnect.CtrlMsgBytes, runPkt, pk)
+	c.xbar.TransmitArg(c.port, c.mem.port, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // drainStalled releases stalled requests only while they can make

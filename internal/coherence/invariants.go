@@ -36,11 +36,17 @@ func (m *MemCtrl) CheckInvariants(lines []memsys.Addr) error {
 	if !m.Idle() {
 		return fmt.Errorf("coherence: %d transactions still in flight\n%s", m.busyCount, m.TransactionDump())
 	}
-	names := make([]string, 0, len(m.peers))
-	for name := range m.peers { //dstore:allow-maprange keys sorted below
-		names = append(names, name)
+	var peers []*Ctrl
+	for _, c := range m.peers {
+		if c != nil {
+			peers = append(peers, c)
+		}
 	}
-	sort.Strings(names)
+	sort.Slice(peers, func(i, j int) bool { return peers[i].name < peers[j].name })
+	names := make([]string, len(peers))
+	for i, c := range peers {
+		names[i] = c.name
+	}
 	proto := m.protocol()
 	v := LineView{
 		N:         len(names),
@@ -52,14 +58,15 @@ func (m *MemCtrl) CheckInvariants(lines []memsys.Addr) error {
 	}
 	for _, a := range lines {
 		line := memsys.LineAlign(a)
-		v.Line = fmt.Sprintf("%#x", uint64(line))
-		for i, name := range names {
-			c := m.peers[name]
+		for i, c := range peers {
 			v.States[i] = c.State(line)
 			v.Vers[i] = c.Ver(line)
 		}
-		if msg := proto.CheckLineView(&v, nil); msg != "" {
-			return fmt.Errorf("coherence: %s%s", msg, holderDesc(&v))
+		if proto.CheckLineView(&v, nil) != "" {
+			// Label the line only now, and rerun for the labelled
+			// message: the clean path formats nothing.
+			v.Line = fmt.Sprintf("%#x", uint64(line))
+			return fmt.Errorf("coherence: %s%s", proto.CheckLineView(&v, nil), holderDesc(&v))
 		}
 	}
 	return nil

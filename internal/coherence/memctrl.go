@@ -22,14 +22,16 @@ type MemCtrl struct {
 	engine *sim.Engine
 	name   string
 	xbar   interconnect.Network
+	port   interconnect.Port
 	dram   *dram.DRAM
 
-	peers map[string]*Ctrl
-	// probeTargets returns the peer names that must be probed for a
-	// line, excluding the requester. The paper's topology has two
-	// coherent agents per line: the CPU cache complex and the GPU L2
-	// slice owning the address.
-	probeTargets func(addr memsys.Addr, requester string) []string
+	// peers holds the registered cache controllers, indexed by their
+	// network port (nil where a port is not a peer).
+	peers []*Ctrl
+	// probeRows is the broadcast table precomputed from Probes: row s
+	// holds the CPU's port and GPU L2 slice s's port. Empty means no
+	// cross-probes.
+	probeRows [][2]interconnect.Port
 
 	// proto is the registered protocol flavour whose invariant set
 	// CheckInvariants evaluates (see registry.go); nil defaults to heap.
@@ -100,19 +102,34 @@ type txn struct {
 	unblocked bool
 }
 
-// NewMemCtrl builds the controller. probeTargets defines the broadcast
-// set per line.
-func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *dram.DRAM,
-	probeTargets func(addr memsys.Addr, requester string) []string) *MemCtrl {
+// Probes names the agents the ordering point broadcasts probes to.
+// Hammer has no directory: a request probes the CPU cache complex and
+// the GPU L2 slice homing the line (lines interleave over Slices as
+// memsys.SliceFor assigns them), minus the requester itself. The zero
+// value probes nobody — §III-H standalone, where shared data lives
+// only in the GPU L2.
+type Probes struct {
+	CPU    string
+	Slices []string
+}
+
+// NewMemCtrl builds the controller on port name of xbar, resolving the
+// broadcast set once into a per-slice port table.
+func NewMemCtrl(engine *sim.Engine, name string, xbar interconnect.Network, d *dram.DRAM, probes Probes) *MemCtrl {
 	m := &MemCtrl{
-		engine:       engine,
-		name:         name,
-		xbar:         xbar,
-		dram:         d,
-		peers:        make(map[string]*Ctrl),
-		probeTargets: probeTargets,
-		queued:       make(map[memsys.Addr][]ReqMsg),
-		counters:     stats.NewSet(),
+		engine:   engine,
+		name:     name,
+		xbar:     xbar,
+		port:     xbar.Port(name),
+		dram:     d,
+		queued:   make(map[memsys.Addr][]ReqMsg),
+		counters: stats.NewSet(),
+	}
+	if len(probes.Slices) > 0 {
+		cpu := xbar.Port(probes.CPU)
+		for _, sl := range probes.Slices {
+			m.probeRows = append(m.probeRows, [2]interconnect.Port{cpu, xbar.Port(sl)})
+		}
 	}
 	m.requests = m.counters.Counter("requests")
 	m.reqGETS = m.counters.Counter("requests_gets")
@@ -134,7 +151,31 @@ func (m *MemCtrl) Counters() *stats.Set { return m.counters }
 
 // AddPeer registers a cache controller so probes and data can be
 // delivered to it.
-func (m *MemCtrl) AddPeer(c *Ctrl) { m.peers[c.name] = c }
+func (m *MemCtrl) AddPeer(c *Ctrl) {
+	for int(c.port) >= len(m.peers) {
+		m.peers = append(m.peers, nil)
+	}
+	m.peers[c.port] = c
+}
+
+// portName resolves an agent's port for traces, dumps and error text.
+func (m *MemCtrl) portName(p interconnect.Port) string { return m.xbar.PortName(p) }
+
+// probeTargets returns the ports to probe for a line, excluding the
+// requester: a window onto the precomputed row, so it never allocates.
+func (m *MemCtrl) probeTargets(line memsys.Addr, requester interconnect.Port) []interconnect.Port {
+	if len(m.probeRows) == 0 {
+		return nil
+	}
+	row := m.probeRows[memsys.SliceFor(line, len(m.probeRows))][:]
+	switch requester {
+	case row[0]:
+		return row[1:]
+	case row[1]:
+		return row[:1]
+	}
+	return row
+}
 
 // AttachRegionDirectory enables HSC-style probe filtering.
 func (m *MemCtrl) AttachRegionDirectory(r *RegionDirectory) { m.regions = r }
@@ -220,7 +261,7 @@ func (m *MemCtrl) start(req ReqMsg) {
 	}
 
 	targets := m.probeTargets(line, req.From)
-	if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, req.From, req.Type) {
+	if m.regions != nil && len(targets) > 0 && m.regions.Filter(line, m.portName(req.From), req.Type) {
 		targets = nil
 	}
 	if len(targets) == 0 {
@@ -246,12 +287,12 @@ func (m *MemCtrl) start(req ReqMsg) {
 	for _, tgt := range targets {
 		m.probes.Inc()
 		if m.obs != nil {
-			m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(tgt))
+			m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgProbe, line, m.obs.Component(m.portName(tgt)))
 		}
 		pk := m.pkt(pkRecvProbe)
 		pk.c = m.peers[tgt]
 		pk.probe = ProbeMsg{Kind: kind, Addr: line, Requester: req.From}
-		m.xbar.SendArg(m.name, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
+		m.xbar.TransmitArg(m.port, tgt, interconnect.CtrlMsgBytes, runPkt, pk)
 	}
 }
 
@@ -261,7 +302,7 @@ func (m *MemCtrl) start(req ReqMsg) {
 func (m *MemCtrl) writebackCommitted(req ReqMsg) {
 	pk := m.pkt(pkWBCommit)
 	pk.rmsg = req
-	m.xbar.SendArg(m.name, req.From, interconnect.CtrlMsgBytes, runPkt, pk)
+	m.xbar.TransmitArg(m.port, req.From, interconnect.CtrlMsgBytes, runPkt, pk)
 	m.finish(req.Addr)
 }
 
@@ -315,11 +356,11 @@ func (m *MemCtrl) sendGrant(t *txn, ver uint64) {
 	d := DataMsg{Addr: t.req.Addr, Ver: ver, Grant: GrantState(GETX, false, false)}
 	requester := t.req.From
 	if m.obs != nil {
-		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgGrant, d.Addr, m.obs.Component(requester))
+		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgGrant, d.Addr, m.obs.Component(m.portName(requester)))
 	}
 	pk := m.pkt(pkRecvData)
 	pk.c, pk.data = m.peers[requester], d
-	m.xbar.SendArg(m.name, requester, interconnect.CtrlMsgBytes, runPkt, pk)
+	m.xbar.TransmitArg(m.port, requester, interconnect.CtrlMsgBytes, runPkt, pk)
 }
 
 // anySharer reports whether a probe ack showed a surviving shared copy
@@ -345,11 +386,11 @@ func (m *MemCtrl) sendData(t *txn, ver uint64) {
 	d := DataMsg{Addr: t.req.Addr, Ver: ver, Grant: grant}
 	requester := t.req.From
 	if m.obs != nil {
-		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgData, d.Addr, m.obs.Component(requester))
+		m.obs.Msg(m.engine.Now(), m.obsID, obs.MsgData, d.Addr, m.obs.Component(m.portName(requester)))
 	}
 	pk := m.pkt(pkRecvData)
 	pk.c, pk.data = m.peers[requester], d
-	m.xbar.SendArg(m.name, requester, interconnect.DataMsgBytes, runPkt, pk)
+	m.xbar.TransmitArg(m.port, requester, interconnect.DataMsgBytes, runPkt, pk)
 }
 
 // ReceiveUnblock records the requester's completion notice and closes
@@ -437,7 +478,7 @@ func (m *MemCtrl) watchdogScan() {
 			m.wdTripped = true
 			err := fmt.Errorf(
 				"coherence: transaction for line %#x (%s from %s) stuck for %d ticks (limit %d)\n%s",
-				uint64(line), t.req.Type, t.req.From, age, m.wdLimit, m.TransactionDump())
+				uint64(line), t.req.Type, m.portName(t.req.From), age, m.wdLimit, m.TransactionDump())
 			if m.wdOnStuck == nil {
 				panic(err)
 			}
@@ -472,7 +513,7 @@ func (m *MemCtrl) TransactionDump() string {
 		t := *m.busy.at(line)
 		fmt.Fprintf(&b,
 			"  line %#x: %s from %s, age %d, acks %d/%d, probesClean=%v dramDone=%v dataSent=%v, %d queued\n",
-			uint64(line), t.req.Type, t.req.From, now-t.started, len(t.acks), t.acksWanted,
+			uint64(line), t.req.Type, m.portName(t.req.From), now-t.started, len(t.acks), t.acksWanted,
 			t.probesClean, t.dramDone, t.dataSent, len(m.queued[line]))
 	}
 	return b.String()

@@ -112,9 +112,7 @@ func runPkt(arg any, now sim.Tick) {
 	case pkWBDone:
 		m.writebackCommitted(pk.rmsg)
 	case pkWBCommit:
-		if p := m.peers[pk.rmsg.From]; p != nil {
-			p.writebackDone(pk.rmsg.Addr, pk.rmsg.Ver)
-		}
+		m.peers[pk.rmsg.From].writebackDone(pk.rmsg.Addr, pk.rmsg.Ver)
 	}
 	pk.c, pk.t, pk.req = nil, nil, nil
 	m.pkts = append(m.pkts, pk)

@@ -30,6 +30,7 @@ package coherence
 import (
 	"fmt"
 
+	"dstore/internal/interconnect"
 	"dstore/internal/memsys"
 )
 
@@ -107,11 +108,13 @@ func (t ReqType) String() string {
 	}
 }
 
-// ReqMsg travels requester → memory controller.
+// ReqMsg travels requester → memory controller. Messages carry agents
+// as network ports; the network resolves a port to its name for
+// traces, dumps and error text.
 type ReqMsg struct {
 	Type ReqType
 	Addr memsys.Addr
-	From string
+	From interconnect.Port
 	// Ver carries the data version for WB.
 	Ver uint64
 }
@@ -149,14 +152,15 @@ func (k ProbeKind) String() string {
 type ProbeMsg struct {
 	Kind ProbeKind
 	Addr memsys.Addr
-	// Requester is the original requester's name (for tracing).
-	Requester string
+	// Requester is the original requester, which an owner supplies
+	// directly (3-hop).
+	Requester interconnect.Port
 }
 
 // AckMsg travels peer cache → memory controller in answer to a probe.
 type AckMsg struct {
 	Addr memsys.Addr
-	From string
+	From interconnect.Port
 	// HadData reports the peer was owner and its copy (with Ver) is the
 	// authoritative data.
 	HadData bool
@@ -189,7 +193,7 @@ type DataMsg struct {
 type PutxMsg struct {
 	Addr memsys.Addr
 	Ver  uint64
-	From string
+	From interconnect.Port
 	// Seq is non-zero only under the resilient push protocol (chaos
 	// runs): it identifies the push for acknowledgement, retry and
 	// receiver-side duplicate suppression. Zero means fire-and-forget

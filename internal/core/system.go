@@ -312,23 +312,18 @@ func NewSystem(cfg Config) *System {
 	if cfg.Chaos != nil && cfg.Chaos.WrapNet != nil {
 		s.Net = cfg.Chaos.WrapNet(engine, s.Net)
 	}
-	standalone := cfg.Mode == ModeStandalone
-	s.Mem = coherence.NewMemCtrl(engine, "mem", s.Net, s.DRAM,
-		func(a memsys.Addr, requester string) []string {
-			if standalone {
-				// §III-H: no CPU↔GPU cross-probes; each request goes
-				// straight to memory. Sound because shared data lives
-				// only in the GPU L2.
-				return nil
-			}
-			var out []string
-			for _, n := range []string{"cpu", sliceName(memsys.SliceFor(a, cfg.GPUL2Slices))} {
-				if n != requester {
-					out = append(out, n)
-				}
-			}
-			return out
-		})
+	// Every request probes the CPU and the line's home slice, except in
+	// §III-H standalone mode: no CPU↔GPU cross-probes, each request
+	// goes straight to memory. Sound because shared data lives only in
+	// the GPU L2.
+	var probes coherence.Probes
+	if cfg.Mode != ModeStandalone {
+		probes.CPU = "cpu"
+		for i := 0; i < cfg.GPUL2Slices; i++ {
+			probes.Slices = append(probes.Slices, sliceName(i))
+		}
+	}
+	s.Mem = coherence.NewMemCtrl(engine, "mem", s.Net, s.DRAM, probes)
 	s.Mem.SetProtocol(coherence.ProtocolFor(
 		cfg.Mode.DirectStoreEnabled(),
 		cfg.Chaos != nil && cfg.Chaos.Resilience.Enabled,

@@ -39,15 +39,7 @@ func newRig(t *testing.T, ds bool) *rig {
 	e := sim.NewEngine()
 	xbar := interconnect.NewCrossbar(e, "xbar", 16, 32)
 	d := dram.New(e, dram.DefaultConfig())
-	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(_ memsys.Addr, req string) []string {
-		var out []string
-		for _, n := range []string{"cpu", "gpu0"} {
-			if n != req {
-				out = append(out, n)
-			}
-		}
-		return out
-	})
+	mem := coherence.NewMemCtrl(e, "mem", xbar, d, coherence.Probes{CPU: "cpu", Slices: []string{"gpu0"}})
 	l1 := cache.Config{Name: "l1d", SizeBytes: 4 * 1024, Ways: 2}
 	cpuC := coherence.NewCtrl(e, coherence.CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "l2", SizeBytes: 64 * 1024, Ways: 8},

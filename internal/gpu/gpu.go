@@ -296,7 +296,7 @@ func (g *GPU) Launch(k Kernel, done func()) {
 		}
 		return
 	}
-	if kernelUsesBarriers(k) && len(k.Warps) > g.cfg.SMs*g.cfg.MaxWarpsPerSM {
+	if len(k.Warps) > g.cfg.SMs*g.cfg.MaxWarpsPerSM && kernelUsesBarriers(k) {
 		panic(fmt.Sprintf("gpu %s: kernel %q uses barriers with %d warps, above the resident capacity %d",
 			g.cfg.Name, k.Name, len(k.Warps), g.cfg.SMs*g.cfg.MaxWarpsPerSM))
 	}

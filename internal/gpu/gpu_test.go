@@ -32,15 +32,7 @@ func newRig(t *testing.T, sms, warpsPerSM, mshrs int) *rig {
 	d := dram.New(e, dram.DefaultConfig())
 	const nSlices = 2
 	sliceName := func(i int) string { return []string{"gpu0", "gpu1"}[i] }
-	mem := coherence.NewMemCtrl(e, "mem", xbar, d, func(a memsys.Addr, req string) []string {
-		var out []string
-		for _, n := range []string{"cpu", sliceName(memsys.SliceFor(a, nSlices))} {
-			if n != req {
-				out = append(out, n)
-			}
-		}
-		return out
-	})
+	mem := coherence.NewMemCtrl(e, "mem", xbar, d, coherence.Probes{CPU: "cpu", Slices: []string{sliceName(0), sliceName(1)}})
 	cpuC := coherence.NewCtrl(e, coherence.CtrlConfig{
 		Name: "cpu", L2: cache.Config{Name: "cpu.l2", SizeBytes: 64 * 1024, Ways: 8},
 		L2HitLat: 12, MSHRs: 8,

@@ -12,6 +12,7 @@ package interconnect
 
 import (
 	"fmt"
+	"math"
 
 	"dstore/internal/sim"
 	"dstore/internal/stats"
@@ -123,6 +124,20 @@ func (l *Link) SendArg(size int, fn func(arg any, now sim.Tick), arg any) sim.Ti
 	return arrival
 }
 
+// Port is a dense endpoint index on a Network. Wiring registers each
+// endpoint's name once (Network.Port); senders then address messages
+// by index, so the per-message arbitration state is a slice lookup.
+type Port uint16
+
+// xbarPort is one crossbar endpoint's arbitration state. The used
+// flags record whether the port ever injected or ejected a message:
+// only those ports appear in the snapshot stream.
+type xbarPort struct {
+	name            string
+	inFree, outFree sim.Tick
+	inUsed, outUsed bool
+}
+
 // Crossbar connects named ports with per-input and per-output
 // arbitration: a message occupies its source's injection port and its
 // destination's ejection port for its serialisation time.
@@ -131,8 +146,7 @@ type Crossbar struct {
 	engine       *sim.Engine
 	latency      sim.Tick
 	bytesPerTick int
-	inFree       map[string]sim.Tick
-	outFree      map[string]sim.Tick
+	ports        []xbarPort
 
 	counters *stats.Set
 	messages *stats.Counter
@@ -147,8 +161,6 @@ func NewCrossbar(engine *sim.Engine, name string, latency sim.Tick, bytesPerTick
 		engine:       engine,
 		latency:      latency,
 		bytesPerTick: bytesPerTick,
-		inFree:       make(map[string]sim.Tick),
-		outFree:      make(map[string]sim.Tick),
 		counters:     stats.NewSet(),
 	}
 	x.messages = x.counters.Counter("messages")
@@ -162,31 +174,57 @@ func (x *Crossbar) Name() string { return x.name }
 // Counters exposes messages/bytes counters.
 func (x *Crossbar) Counters() *stats.Set { return x.counters }
 
+// Port returns the named port's index, registering the port on first
+// use: a crossbar connects any endpoint that asks.
+func (x *Crossbar) Port(name string) Port {
+	for i := range x.ports {
+		if x.ports[i].name == name {
+			return Port(i)
+		}
+	}
+	return x.addPort(name)
+}
+
+// maxPorts bounds a crossbar's endpoints: every Port value is in use.
+const maxPorts = math.MaxUint16 + 1
+
+// addPort registers a new port.
+func (x *Crossbar) addPort(name string) Port {
+	if len(x.ports) == maxPorts {
+		panic(fmt.Sprintf("interconnect %s: more than %d ports", x.name, maxPorts))
+	}
+	x.ports = append(x.ports, xbarPort{name: name})
+	return Port(len(x.ports) - 1)
+}
+
+// PortName returns the name port p was registered under.
+func (x *Crossbar) PortName(p Port) string { return x.ports[p].name }
+
 // reserve arbitrates the injection and ejection ports for a message and
 // returns its arrival tick.
-func (x *Crossbar) reserve(src, dst string, size int) sim.Tick {
+func (x *Crossbar) reserve(src, dst Port, size int) sim.Tick {
 	if size <= 0 {
 		panic(fmt.Sprintf("interconnect %s: non-positive message size %d", x.name, size))
 	}
+	in, out := &x.ports[src], &x.ports[dst]
 	start := x.engine.Now()
-	if t := x.inFree[src]; t > start {
-		start = t
+	if in.inFree > start {
+		start = in.inFree
 	}
-	if t := x.outFree[dst]; t > start {
-		start = t
+	if out.outFree > start {
+		start = out.outFree
 	}
-	occ := serialisation(size, x.bytesPerTick)
-	busyUntil := start + occ
-	x.inFree[src] = busyUntil
-	x.outFree[dst] = busyUntil
+	busyUntil := start + serialisation(size, x.bytesPerTick)
+	in.inFree, in.inUsed = busyUntil, true
+	out.outFree, out.outUsed = busyUntil, true
 	x.messages.Inc()
 	x.bytes.Add(uint64(size))
 	return busyUntil + x.latency
 }
 
-// Send transmits size bytes from port src to port dst, invoking deliver
+// Transmit sends size bytes from port src to port dst, invoking deliver
 // at arrival, and returns the arrival tick.
-func (x *Crossbar) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+func (x *Crossbar) Transmit(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	arrival := x.reserve(src, dst, size)
 	if deliver != nil {
 		x.engine.ScheduleTickAt(arrival, deliver)
@@ -194,14 +232,25 @@ func (x *Crossbar) Send(src, dst string, size int, deliver func(now sim.Tick)) s
 	return arrival
 }
 
-// SendArg transmits size bytes from src to dst and fires fn(arg,
-// arrival) at arrival without allocating a delivery closure.
-func (x *Crossbar) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// TransmitArg sends size bytes from port src to port dst and fires
+// fn(arg, arrival) at arrival without allocating a delivery closure.
+func (x *Crossbar) TransmitArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	arrival := x.reserve(src, dst, size)
 	if fn != nil {
 		x.engine.ScheduleArgAt(arrival, fn, arg)
 	}
 	return arrival
+}
+
+// Send is Transmit addressed by port name, for callers that hold
+// names rather than wired ports.
+func (x *Crossbar) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+	return x.Transmit(x.Port(src), x.Port(dst), size, deliver)
+}
+
+// SendArg is TransmitArg addressed by port name.
+func (x *Crossbar) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+	return x.TransmitArg(x.Port(src), x.Port(dst), size, fn, arg)
 }
 
 // TotalBytes returns all bytes ever sent through the crossbar.

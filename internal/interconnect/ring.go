@@ -8,16 +8,22 @@ import (
 )
 
 // Network is the interface the coherence layer sends messages over;
-// both the crossbar and the ring satisfy it.
+// both the crossbar and the ring satisfy it. Endpoints are registered
+// by name once at wiring time and addressed by their dense Port after.
 type Network interface {
 	Name() string
-	// Send transmits size bytes from src to dst, invoking deliver at
+	// Port returns the dense index of the named endpoint.
+	Port(name string) Port
+	// PortName returns the name a port was registered under, for
+	// traces, dumps and error text.
+	PortName(p Port) string
+	// Transmit sends size bytes from src to dst, invoking deliver at
 	// arrival, and returns the arrival tick.
-	Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick
-	// SendArg is the allocation-free variant: fn(arg, arrival) fires at
-	// arrival, letting hot senders pass a static function plus a pooled
-	// argument instead of a fresh closure per message.
-	SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
+	Transmit(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick
+	// TransmitArg is the allocation-free variant: fn(arg, arrival)
+	// fires at arrival, letting hot senders pass a static function plus
+	// a pooled argument instead of a fresh closure per message.
+	TransmitArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick
 	Counters() *stats.Set
 	TotalBytes() uint64
 	TotalMessages() uint64
@@ -36,7 +42,6 @@ type Ring struct {
 	name         string
 	engine       *sim.Engine
 	nodes        []string
-	index        map[string]int
 	hopLat       sim.Tick
 	bytesPerTick int
 	// cwFree[i] guards the clockwise link i→i+1; ccwFree[i] guards the
@@ -52,14 +57,13 @@ type Ring struct {
 
 // NewRing builds a ring over the named nodes in the given cyclic order.
 func NewRing(engine *sim.Engine, name string, nodes []string, hopLat sim.Tick, bytesPerTick int) *Ring {
-	if len(nodes) < 2 {
-		panic(fmt.Sprintf("interconnect %s: a ring needs at least 2 nodes", name))
+	if len(nodes) < 2 || len(nodes) > maxPorts {
+		panic(fmt.Sprintf("interconnect %s: a ring needs 2 to %d nodes", name, maxPorts))
 	}
 	r := &Ring{
 		name:         name,
 		engine:       engine,
 		nodes:        append([]string(nil), nodes...),
-		index:        make(map[string]int, len(nodes)),
 		hopLat:       hopLat,
 		bytesPerTick: bytesPerTick,
 		cwFree:       make([]sim.Tick, len(nodes)),
@@ -67,10 +71,9 @@ func NewRing(engine *sim.Engine, name string, nodes []string, hopLat sim.Tick, b
 		counters:     stats.NewSet(),
 	}
 	for i, n := range nodes {
-		if _, dup := r.index[n]; dup {
+		if r.Port(n) != Port(i) {
 			panic(fmt.Sprintf("interconnect %s: duplicate ring node %q", name, n))
 		}
-		r.index[n] = i
 	}
 	r.messages = r.counters.Counter("messages")
 	r.bytes = r.counters.Counter("bytes")
@@ -93,10 +96,24 @@ func (r *Ring) TotalMessages() uint64 { return r.messages.Value() }
 // Nodes returns the ring order (copy).
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
+// Port returns the index of a ring node. The ring's nodes are fixed
+// at construction, so an unknown name is a wiring error.
+func (r *Ring) Port(name string) Port {
+	for i, n := range r.nodes {
+		if n == name {
+			return Port(i)
+		}
+	}
+	panic(fmt.Sprintf("interconnect %s: unknown ring node %q", r.name, name))
+}
+
+// PortName returns the node name at port p.
+func (r *Ring) PortName(p Port) string { return r.nodes[p] }
+
 // HopsBetween returns the number of links a message between the two
 // nodes traverses (shortest direction).
 func (r *Ring) HopsBetween(src, dst string) int {
-	i, j, n := r.index[src], r.index[dst], len(r.nodes)
+	i, j, n := int(r.Port(src)), int(r.Port(dst)), len(r.nodes)
 	cw := (j - i + n) % n
 	ccw := (i - j + n) % n
 	if cw <= ccw {
@@ -105,8 +122,8 @@ func (r *Ring) HopsBetween(src, dst string) int {
 	return ccw
 }
 
-// Send routes size bytes from src to dst the shorter way around.
-func (r *Ring) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+// Transmit routes size bytes from src to dst the shorter way around.
+func (r *Ring) Transmit(src, dst Port, size int, deliver func(now sim.Tick)) sim.Tick {
 	t := r.reserve(src, dst, size)
 	if deliver != nil {
 		r.engine.ScheduleTickAt(t, deliver)
@@ -114,9 +131,9 @@ func (r *Ring) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.T
 	return t
 }
 
-// SendArg routes size bytes from src to dst and fires fn(arg, arrival)
-// at arrival without allocating a delivery closure.
-func (r *Ring) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
+// TransmitArg routes size bytes from src to dst and fires fn(arg,
+// arrival) at arrival without allocating a delivery closure.
+func (r *Ring) TransmitArg(src, dst Port, size int, fn func(arg any, now sim.Tick), arg any) sim.Tick {
 	t := r.reserve(src, dst, size)
 	if fn != nil {
 		r.engine.ScheduleArgAt(t, fn, arg)
@@ -124,18 +141,18 @@ func (r *Ring) SendArg(src, dst string, size int, fn func(arg any, now sim.Tick)
 	return t
 }
 
+// Send is Transmit addressed by node name.
+func (r *Ring) Send(src, dst string, size int, deliver func(now sim.Tick)) sim.Tick {
+	return r.Transmit(r.Port(src), r.Port(dst), size, deliver)
+}
+
 // reserve walks the path's directed links, booking each for the
 // message's serialisation time, and returns the arrival tick.
-func (r *Ring) reserve(src, dst string, size int) sim.Tick {
+func (r *Ring) reserve(src, dst Port, size int) sim.Tick {
 	if size <= 0 {
 		panic(fmt.Sprintf("interconnect %s: non-positive message size %d", r.name, size))
 	}
-	i, okSrc := r.index[src]
-	j, okDst := r.index[dst]
-	if !okSrc || !okDst {
-		panic(fmt.Sprintf("interconnect %s: unknown node in %s->%s", r.name, src, dst))
-	}
-	n := len(r.nodes)
+	i, j, n := int(src), int(dst), len(r.nodes)
 	cw := (j - i + n) % n
 	ccw := (i - j + n) % n
 	clockwise := cw <= ccw

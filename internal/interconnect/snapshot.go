@@ -28,31 +28,55 @@ func (l *Link) RestoreFrom(r *snap.Reader) {
 	l.counters.RestoreFrom(r)
 }
 
-// snapshotPortMap serialises a port→free-time map with sorted keys so
-// the stream is deterministic.
-func snapshotPortMap(w *snap.Writer, m map[string]sim.Tick) {
-	keys := make([]string, 0, len(m))
-	for k := range m { //dstore:allow-maprange keys sorted below
-		keys = append(keys, k)
+// snapshotPorts serialises one direction of the crossbar's per-port
+// free times: the ports that ever carried a message in that direction,
+// sorted by name so the stream is independent of registration order.
+func (x *Crossbar) snapshotPorts(w *snap.Writer, eject bool) {
+	var used []int
+	for i := range x.ports {
+		if p := &x.ports[i]; (eject && p.outUsed) || (!eject && p.inUsed) {
+			used = append(used, i)
+		}
 	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.I64(int64(m[k]))
+	sort.Slice(used, func(a, b int) bool { return x.ports[used[a]].name < x.ports[used[b]].name })
+	w.U32(uint32(len(used)))
+	for _, i := range used {
+		p := &x.ports[i]
+		free := p.inFree
+		if eject {
+			free = p.outFree
+		}
+		w.String(p.name)
+		w.I64(int64(free))
 	}
 }
 
-func restorePortMap(r *snap.Reader, m map[string]sim.Tick) {
-	for k := range m { //dstore:allow-maprange keys sorted below
-		delete(m, k)
-	}
+// restorePorts reads one direction written by snapshotPorts,
+// registering any port the crossbar has not seen yet. index maps the
+// registered names to their ports, so a long stream restores in
+// linear time.
+func (x *Crossbar) restorePorts(r *snap.Reader, eject bool, index map[string]Port) {
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		k := r.String()
-		t := sim.Tick(r.I64())
-		if r.Err() == nil {
-			m[k] = t
+		name := r.String()
+		free := sim.Tick(r.I64())
+		if r.Err() != nil {
+			return
+		}
+		pi, ok := index[name]
+		if !ok {
+			if len(x.ports) == maxPorts {
+				r.Failf("interconnect %s: snapshot names more than %d ports", x.name, maxPorts)
+				return
+			}
+			pi = x.addPort(name)
+			index[name] = pi
+		}
+		p := &x.ports[pi]
+		if eject {
+			p.outFree, p.outUsed = free, true
+		} else {
+			p.inFree, p.inUsed = free, true
 		}
 	}
 }
@@ -61,8 +85,8 @@ func restorePortMap(r *snap.Reader, m map[string]sim.Tick) {
 func (x *Crossbar) SnapshotTo(w *snap.Writer) {
 	w.Tag("xbar")
 	w.String(x.name)
-	snapshotPortMap(w, x.inFree)
-	snapshotPortMap(w, x.outFree)
+	x.snapshotPorts(w, false)
+	x.snapshotPorts(w, true)
 	x.counters.SnapshotTo(w)
 }
 
@@ -75,8 +99,13 @@ func (x *Crossbar) RestoreFrom(r *snap.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	restorePortMap(r, x.inFree)
-	restorePortMap(r, x.outFree)
+	index := make(map[string]Port, len(x.ports))
+	for i := range x.ports {
+		x.ports[i] = xbarPort{name: x.ports[i].name}
+		index[x.ports[i].name] = Port(i)
+	}
+	x.restorePorts(r, false, index)
+	x.restorePorts(r, true, index)
 	x.counters.RestoreFrom(r)
 }
 

@@ -89,7 +89,14 @@ type tlbEntry struct {
 	vpn  uint64
 	pfn  uint64
 	used uint64
+	// prev and next thread the true-LRU list through the slots: prev
+	// points toward the most recently used entry, next toward the
+	// least; noSlot ends the list.
+	prev, next int32
 }
+
+// noSlot terminates the TLB's LRU list.
+const noSlot = -1
 
 // TLB is a fully associative translation cache with true-LRU
 // replacement, plus the direct-store range detector.
@@ -97,12 +104,15 @@ type TLB struct {
 	cfg     Config
 	pt      *PageTable
 	entries []tlbEntry
-	// index maps vpn → slot in entries, mirroring the linear contents:
-	// a 256-entry fully associative file is too big to scan per
-	// translation. Replacement decisions still use the used stamps, so
-	// hit/miss/eviction behaviour is unchanged.
-	index map[uint64]int32
-	clock uint64
+	// index maps vpn → slot in entries: a 256-entry fully associative
+	// file is too big to scan per translation.
+	index vpnIndex
+	// head and tail are the most and least recently used slots. Every
+	// translation stamps its entry with the next clock value, so list
+	// order is exactly used-stamp order: the tail is the entry with the
+	// smallest stamp, the victim a scan of the stamps would pick.
+	head, tail int32
+	clock      uint64
 
 	counters *stats.Set
 	hits     *stats.Counter
@@ -118,7 +128,8 @@ func NewTLB(pt *PageTable, cfg Config) *TLB {
 	if cfg.DirectLimit < cfg.DirectBase {
 		panic(fmt.Sprintf("mmu %s: inverted direct-store range", cfg.Name))
 	}
-	t := &TLB{cfg: cfg, pt: pt, index: make(map[uint64]int32, cfg.Entries), counters: stats.NewSet()}
+	t := &TLB{cfg: cfg, pt: pt, index: newVPNIndex(cfg.Entries),
+		head: noSlot, tail: noSlot, counters: stats.NewSet()}
 	t.hits = t.counters.Counter("hits")
 	t.misses = t.counters.Counter("misses")
 	t.directs = t.counters.Counter("direct_detected")
@@ -135,11 +146,31 @@ func (t *TLB) IsDirect(va memsys.Addr) bool {
 	return va >= t.cfg.DirectBase && va < t.cfg.DirectLimit
 }
 
-func (t *TLB) find(vpn uint64) int {
-	if i, ok := t.index[vpn]; ok {
-		return int(i)
+// unlink removes slot i from the LRU list.
+func (t *TLB) unlink(i int32) {
+	e := &t.entries[i]
+	if e.prev != noSlot {
+		t.entries[e.prev].next = e.next
+	} else {
+		t.head = e.next
 	}
-	return -1
+	if e.next != noSlot {
+		t.entries[e.next].prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+}
+
+// pushFront makes slot i the most recently used entry.
+func (t *TLB) pushFront(i int32) {
+	e := &t.entries[i]
+	e.prev, e.next = noSlot, t.head
+	if t.head != noSlot {
+		t.entries[t.head].prev = i
+	} else {
+		t.tail = i
+	}
+	t.head = i
 }
 
 // Translate maps va to a physical address, charging hit or walk latency,
@@ -152,11 +183,21 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 	}
 	vpn := uint64(va) >> PageShift
 	t.clock++
-	if i := t.find(vpn); i >= 0 {
+	i := t.head
+	// Consecutive coalesced lines almost always share a page: a hit on
+	// the most recently used entry needs neither the index nor a list
+	// move.
+	if i == noSlot || t.entries[i].vpn != vpn {
+		if i = t.index.find(vpn); i != noSlot {
+			t.unlink(i)
+			t.pushFront(i)
+		}
+	}
+	if i != noSlot {
 		t.hits.Inc()
-		t.entries[i].used = t.clock
-		pfn := t.entries[i].pfn
-		return memsys.Addr(pfn<<PageShift | uint64(va)&(PageSize-1)), t.cfg.HitLatency, direct, nil
+		e := &t.entries[i]
+		e.used = t.clock
+		return memsys.Addr(e.pfn<<PageShift | uint64(va)&(PageSize-1)), t.cfg.HitLatency, direct, nil
 	}
 	t.misses.Inc()
 	pa, err = t.pt.EnsureMapped(va)
@@ -165,19 +206,16 @@ func (t *TLB) Translate(va memsys.Addr) (pa memsys.Addr, lat sim.Tick, direct bo
 	}
 	e := tlbEntry{vpn: vpn, pfn: uint64(pa) >> PageShift, used: t.clock}
 	if len(t.entries) < t.cfg.Entries {
+		i = int32(len(t.entries))
 		t.entries = append(t.entries, e)
-		t.index[vpn] = int32(len(t.entries) - 1)
 	} else {
-		victim := 0
-		for i := range t.entries {
-			if t.entries[i].used < t.entries[victim].used {
-				victim = i
-			}
-		}
-		delete(t.index, t.entries[victim].vpn)
-		t.entries[victim] = e
-		t.index[vpn] = int32(victim)
+		i = t.tail
+		t.unlink(i)
+		t.index.remove(t.entries[i].vpn)
+		t.entries[i] = e
 	}
+	t.index.insert(vpn, i)
+	t.pushFront(i)
 	return pa, t.cfg.HitLatency + t.cfg.WalkLatency, direct, nil
 }
 

@@ -180,6 +180,10 @@ func (r *Reader) Tag(name string) {
 	}
 }
 
+// Remaining returns the number of unread bytes: the ceiling a decoder
+// checks a claimed element count against before sizing anything by it.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
 // Done verifies the stream was fully consumed and returns the first
 // error, if any.
 func (r *Reader) Done() error {
