@@ -1,15 +1,24 @@
 GO ?= go
 
-# check is the gate every change must pass: static analysis, a full
-# build, the full test suite, a race-detector pass over the packages
-# that use (sweep runner, serve daemon) or feed (event kernel)
-# concurrency, and the exhaustive small-config protocol model check.
+# check is the gate every change must pass: static analysis (of the
+# perfbench module too), a full build, the full test suite, a
+# race-detector pass over the packages that use (sweep runner, serve
+# daemon) or feed (event kernel) concurrency, and the exhaustive
+# small-config protocol model check.
 .PHONY: check
-check: vet lint tablecover build test race modelcheck trace-smoke
+check: vet perfbench-vet lint tablecover build test race modelcheck trace-smoke
 
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# perfbench-vet compiles and vets the benchmark harness. perfbench is
+# its own module, so the root `./...` never reaches it, and an API
+# change in internal/bench or internal/core would otherwise break the
+# benchmark unnoticed.
+.PHONY: perfbench-vet
+perfbench-vet:
+	cd perfbench && $(GO) vet ./...
 
 # lint runs the repo's own analyzers (determinism contract, stats-key
 # registry, event-callback safety), plus staticcheck when installed.
@@ -134,19 +143,6 @@ bench:
 .PHONY: baseline
 baseline:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim | tee BENCH_sim_engine.txt
-
-# baseline-json regenerates the machine-readable performance baseline
-# (BENCH_coherence.json): the full Fig. 4 sweep run sequentially with
-# the event counter on (wall clock, events, events/sec), the recorded
-# seed-binary reference for the same sweep, and the engine
-# microbenchmarks lifted from BENCH_sim_engine.txt. SEED_FIG4_WALL is
-# the growth seed's wall seconds for the sweep, measured back-to-back
-# on the same machine; override it when re-measuring on new hardware
-# (or set it to 0 to omit the reference block).
-SEED_FIG4_WALL ?= 35.71
-.PHONY: baseline-json
-baseline-json: baseline
-	$(GO) run ./cmd/dstore-bench -baseline-json BENCH_coherence.json -seed-fig4-wall $(SEED_FIG4_WALL)
 
 # bench-diff is the microbenchmark regression guard: rerun the engine
 # benchmarks and compare against the committed baseline, warning on

@@ -11,6 +11,7 @@
 package dstore
 
 import (
+	"context"
 	"testing"
 
 	"dstore/internal/bench"
@@ -48,6 +49,18 @@ func runFig(b *testing.B, in Input) []BenchComparison {
 		}
 	}
 	return cs
+}
+
+// compare runs one benchmark's baseline-vs-direct-store pair under
+// explicit configurations through the sweep path.
+func compare(b *testing.B, code string, in Input, base, ds Config) BenchComparison {
+	b.Helper()
+	cs, _, err := bench.Sweep(context.Background(),
+		[]bench.SweepJob{{Code: code, In: in, Base: base, DS: ds}}, SweepOptions{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cs[0]
 }
 
 // BenchmarkFig4SpeedupSmall regenerates Fig. 4 (top): direct-store
@@ -92,15 +105,11 @@ func BenchmarkPrefetchComparison(b *testing.B) {
 	pf.PrefetchDepth = 4
 	var vsPlain, vsPf float64
 	for i := 0; i < b.N; i++ {
-		plain, err := bench.Compare("NN", bench.Small)
+		plain, err := CompareBenchmark("NN", Small)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pfc, err := bench.CompareWithConfigs("NN", bench.Small, pf,
-			core.DefaultConfig(core.ModeDirectStore))
-		if err != nil {
-			b.Fatal(err)
-		}
+		pfc := compare(b, "NN", Small, pf, core.DefaultConfig(core.ModeDirectStore))
 		vsPlain, vsPf = plain.Speedup(), pfc.Speedup()
 	}
 	b.ReportMetric(vsPlain*100, "ds-vs-ccsm-%")
@@ -113,11 +122,7 @@ func BenchmarkPrefetchComparison(b *testing.B) {
 func BenchmarkStandaloneMode(b *testing.B) {
 	var s float64
 	for i := 0; i < b.N; i++ {
-		c, err := bench.CompareWithConfigs("BL", bench.Small,
-			core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeStandalone))
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := compare(b, "BL", Small, core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeStandalone))
 		s = c.Speedup()
 	}
 	b.ReportMetric(s*100, "standalone-speedup-%")
@@ -129,17 +134,13 @@ func ablation(b *testing.B, mutate func(*core.Config)) {
 	b.Helper()
 	var base, abl float64
 	for i := 0; i < b.N; i++ {
-		ref, err := bench.Compare("NN", bench.Small)
+		ref, err := CompareBenchmark("NN", Small)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := core.DefaultConfig(core.ModeDirectStore)
 		mutate(&cfg)
-		mod, err := bench.CompareWithConfigs("NN", bench.Small,
-			core.DefaultConfig(core.ModeCCSM), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mod := compare(b, "NN", Small, core.DefaultConfig(core.ModeCCSM), cfg)
 		base, abl = ref.Speedup(), mod.Speedup()
 	}
 	b.ReportMetric(base*100, "paper-design-%")
@@ -215,14 +216,8 @@ func BenchmarkAblationDirectBandwidth(b *testing.B) {
 		n.DirectBW = 16
 		w := core.DefaultConfig(core.ModeDirectStore)
 		w.DirectBW = 64
-		cn, err := bench.CompareWithConfigs("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cw, err := bench.CompareWithConfigs("NN", bench.Small, core.DefaultConfig(core.ModeCCSM), w)
-		if err != nil {
-			b.Fatal(err)
-		}
+		cn := compare(b, "NN", Small, core.DefaultConfig(core.ModeCCSM), n)
+		cw := compare(b, "NN", Small, core.DefaultConfig(core.ModeCCSM), w)
 		narrow, wide = cn.Speedup(), cw.Speedup()
 	}
 	b.ReportMetric(narrow*100, "16B/t-%")
@@ -240,7 +235,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticks = w.Run(sys)
+		if _, err := w.RunPhaseRangeContext(context.Background(), sys, 0, w.Phases()); err != nil {
+			b.Fatal(err)
+		}
+		ticks = sys.Now()
 		events = sys.Engine.Executed()
 	}
 	b.ReportMetric(float64(events), "events/run")
@@ -253,17 +251,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkAblationSRRIP(b *testing.B) {
 	var lru, srrip float64
 	for i := 0; i < b.N; i++ {
-		base, err := bench.Compare("VA", bench.Big)
+		base, err := CompareBenchmark("VA", Big)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg := core.DefaultConfig(core.ModeDirectStore)
 		cfg.GPUL2Policy = "srrip"
-		mod, err := bench.CompareWithConfigs("VA", bench.Big,
-			core.DefaultConfig(core.ModeCCSM), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mod := compare(b, "VA", Big, core.DefaultConfig(core.ModeCCSM), cfg)
 		lru, srrip = base.Speedup(), mod.Speedup()
 	}
 	b.ReportMetric(lru*100, "lru-%")
@@ -275,7 +269,7 @@ func BenchmarkAblationSRRIP(b *testing.B) {
 func BenchmarkAblationRingNoC(b *testing.B) {
 	var xbar, ring float64
 	for i := 0; i < b.N; i++ {
-		base, err := bench.Compare("BL", bench.Small)
+		base, err := CompareBenchmark("BL", Small)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -283,10 +277,7 @@ func BenchmarkAblationRingNoC(b *testing.B) {
 		cfg.NoC = "ring"
 		ccsm := core.DefaultConfig(core.ModeCCSM)
 		ccsm.NoC = "ring"
-		mod, err := bench.CompareWithConfigs("BL", bench.Small, ccsm, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mod := compare(b, "BL", Small, ccsm, cfg)
 		xbar, ring = base.Speedup(), mod.Speedup()
 	}
 	b.ReportMetric(xbar*100, "xbar-%")
@@ -303,15 +294,11 @@ func BenchmarkRegionCoherenceBaseline(b *testing.B) {
 	hsc.RegionDirectory = true
 	var vsPlain, vsHSC float64
 	for i := 0; i < b.N; i++ {
-		plain, err := bench.Compare("NN", bench.Small)
+		plain, err := CompareBenchmark("NN", Small)
 		if err != nil {
 			b.Fatal(err)
 		}
-		h, err := bench.CompareWithConfigs("NN", bench.Small, hsc,
-			core.DefaultConfig(core.ModeDirectStore))
-		if err != nil {
-			b.Fatal(err)
-		}
+		h := compare(b, "NN", Small, hsc, core.DefaultConfig(core.ModeDirectStore))
 		vsPlain, vsHSC = plain.Speedup(), h.Speedup()
 	}
 	b.ReportMetric(vsPlain*100, "ds-vs-hammer-%")

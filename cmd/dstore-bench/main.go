@@ -105,7 +105,7 @@ func sweep(ctx context.Context, jobs []bench.SweepJob, opt bench.SweepOptions) [
 	if timing {
 		opt.Clock = hostClock
 	}
-	cs, timings, err := bench.SweepWithTimingsContext(ctx, jobs, opt)
+	cs, timings, err := bench.Sweep(ctx, jobs, opt)
 	if timing {
 		for i, hp := range timings {
 			reportPhases(jobs[i].Code, jobs[i].In, hp)
@@ -149,10 +149,6 @@ func main() {
 		traceF  = flag.String("trace", "", "with -bench: write per-mode Chrome traces (FILE.ccsm.json and FILE.ds.json)")
 		histOut = flag.Bool("hist", false, "with -bench: print latency histograms for both modes side by side")
 		seriesF = flag.String("timeseries", "", "with -bench: write per-mode time-series files (.csv or .json by extension)")
-
-		baselineJSON = flag.String("baseline-json", "", "run the Fig. 4 sweep sequentially and write the machine-readable performance baseline to this file")
-		engineBench  = flag.String("engine-bench", "BENCH_sim_engine.txt", "with -baseline-json: microbenchmark baseline to embed")
-		seedWall     = flag.Float64("seed-fig4-wall", 0, "with -baseline-json: the seed binary's wall seconds for the same sweep, for the recorded speedup")
 	)
 	flag.BoolVar(&timing, "timing", false, "report per-experiment wall clock on stderr")
 	flag.Parse()
@@ -160,7 +156,7 @@ func main() {
 	if *all {
 		*table1, *table2, *fig4, *fig5, *prefetch, *standalone = true, true, true, true, true, true
 	}
-	if !*table1 && !*table2 && !*fig4 && !*fig5 && !*prefetch && !*standalone && *one == "" && *baselineJSON == "" {
+	if !*table1 && !*table2 && !*fig4 && !*fig5 && !*prefetch && !*standalone && *one == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -192,10 +188,6 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 
-	if *baselineJSON != "" {
-		fail(writeBaselineJSON(ctx, *baselineJSON, *engineBench, *seedWall))
-	}
-
 	if *table1 {
 		fmt.Println("TABLE I: SYSTEM CONFIGURATION")
 		fmt.Println(core.DefaultConfig(core.ModeCCSM).Table1())
@@ -213,16 +205,11 @@ func main() {
 				base.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
 				ds.Obs = obs.New(obs.Options{Trace: *traceF != "", Hist: *histOut, TimeSeries: *seriesF != ""})
 			}
-			var clk obs.Clock
-			if timing {
-				clk = hostClock
+			cs := sweep(ctx, []bench.SweepJob{{Code: *one, In: in, Base: base, DS: ds}}, opt)
+			if len(cs) == 0 {
+				continue
 			}
-			c, hp, err := bench.CompareWithConfigsTimedContext(ctx, *one, in, base, ds, clk)
-			fail(err)
-			printComparison(c)
-			if timing {
-				reportPhases(*one, in, hp)
-			}
+			printComparison(cs[0])
 			if *histOut {
 				printHistPair(base.Obs, ds.Obs)
 			}

@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -150,7 +151,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-json requires -bench (scripts have no canonical result encoding)")
 			os.Exit(2)
 		}
-		res, err := bench.RunWithConfig(*code, cfg, in)
+		res, err := bench.RunWithConfigContext(context.Background(), *code, cfg, in)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -169,34 +170,31 @@ func main() {
 	var (
 		total  sim.Tick
 		phases []sim.Tick
+		title  string
 	)
 	if *scriptF != "" {
 		f, err := os.Open(*scriptF)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		failIf(err)
 		sc, err := script.Parse(f)
 		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		failIf(err)
 		total, err = sc.Run(sys)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("script %s under %s\n\n", *scriptF, mode)
+		failIf(err)
+		title = fmt.Sprintf("script %s under %s", *scriptF, mode)
 	} else {
 		w, err := bench.Build(sys, *code, in)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		total, phases = w.RunPhases(sys)
-		fmt.Printf("benchmark %s (%s inputs) under %s\n\n", *code, in, mode)
+		failIf(err)
+		phases, err = w.RunPhaseRangeContext(context.Background(), sys, 0, w.Phases())
+		failIf(err)
+		total = sys.Now()
+		title = fmt.Sprintf("benchmark %s (%s inputs) under %s", *code, in, mode)
 	}
+	// A protocol violation must not print plausible numbers and exit 0.
+	if err := sys.CheckCoherence(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", title, err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s\n\n", title)
 	t := stats.NewTable("Metric", "Value")
 	t.AddRow("total ticks", fmt.Sprintf("%d", total))
 	for i, p := range phases {

@@ -28,6 +28,9 @@
 package dstore
 
 import (
+	"context"
+	"errors"
+
 	"dstore/internal/bench"
 	"dstore/internal/core"
 	"dstore/internal/cpu"
@@ -136,25 +139,46 @@ func RunBenchmark(code string, mode Mode, in Input) (BenchResult, error) {
 
 // CompareBenchmark runs one benchmark under CCSM and direct store.
 func CompareBenchmark(code string, in Input) (BenchComparison, error) {
-	return bench.Compare(code, in)
+	job := bench.SweepJob{
+		Code: code, In: in,
+		Base: core.DefaultConfig(core.ModeCCSM),
+		DS:   core.DefaultConfig(core.ModeDirectStore),
+	}
+	cs, _, err := bench.Sweep(context.Background(), []bench.SweepJob{job}, SweepOptions{Workers: 1})
+	var se *SweepError
+	if errors.As(err, &se) {
+		// One job, so the sweep's only failure is the comparison's own.
+		err = se.Failures[0].Err
+	}
+	return cs[0], err
 }
 
 // RunAllBenchmarks compares every Table II benchmark for one input
 // size (the full Fig. 4 / Fig. 5 data set). Every benchmark is
-// attempted; failures are aggregated into a *bench.SweepError rather
-// than aborting the sweep.
+// attempted; failures are aggregated into a *SweepError (one JobError
+// per failed benchmark, reachable with errors.As) rather than aborting
+// the sweep.
 func RunAllBenchmarks(in Input) ([]BenchComparison, error) {
-	return bench.RunAll(in)
+	cs, _, err := bench.Sweep(context.Background(), bench.StandardJobs(in), SweepOptions{Workers: 1})
+	return cs, err
 }
 
 // SweepOptions configures a parallel benchmark sweep.
 type SweepOptions = bench.SweepOptions
 
+// SweepError is a sweep's failure report: every failed benchmark, in
+// job order, as a JobError.
+type SweepError = bench.SweepError
+
+// JobError is one failed benchmark inside a SweepError.
+type JobError = bench.JobError
+
 // RunAllBenchmarksParallel is RunAllBenchmarks with opt.Workers
 // concurrent runs. Each run owns its own simulated system, so the
 // results are identical to the sequential sweep, in the same order.
 func RunAllBenchmarksParallel(in Input, opt SweepOptions) ([]BenchComparison, error) {
-	return bench.RunAllParallel(in, opt)
+	cs, _, err := bench.Sweep(context.Background(), bench.StandardJobs(in), opt)
+	return cs, err
 }
 
 // GeomeanSpeedup is the rightmost bar of Fig. 4: the geometric mean of

@@ -1,8 +1,13 @@
 package dstore
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dstore/internal/bench"
 )
 
 func TestPublicQuickstartFlow(t *testing.T) {
@@ -51,6 +56,46 @@ func TestPublicBenchmarkAPI(t *testing.T) {
 	}
 	if _, err := RunBenchmark("nope", CCSM, Small); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+func TestRunAllBenchmarksParallelMatchesSequential(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table II sweep in -short mode")
+	}
+	seq, err := RunAllBenchmarks(Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunAllBenchmarksParallel(Small, SweepOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatal("RunAllBenchmarksParallel diverged from RunAllBenchmarks")
+	}
+}
+
+// TestPublicSweepErrorTypes checks that an importer can name a sweep's
+// failure report: errors.As reaches both the *SweepError and the
+// JobError of the unknown benchmark through the exported aliases.
+func TestPublicSweepErrorTypes(t *testing.T) {
+	jobs := bench.StandardJobs(Small)[:2]
+	jobs = append(jobs, bench.SweepJob{Code: "XX", In: Small, Base: jobs[0].Base, DS: jobs[0].DS})
+	_, _, err := bench.Sweep(context.Background(), jobs, SweepOptions{Workers: 1})
+	var se *SweepError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %T %v, want *SweepError", err, err)
+	}
+	if len(se.Failures) != 1 || se.Failures[0].Index != 2 {
+		t.Fatalf("failures = %+v, want job 2 only", se.Failures)
+	}
+	var je JobError
+	if !errors.As(err, &je) || je.Code != "XX" {
+		t.Fatalf("errors.As(JobError) = %+v, want the XX job", je)
+	}
+	if _, err := CompareBenchmark("XX", Small); err == nil || errors.As(err, &se) {
+		t.Errorf("CompareBenchmark(XX) err = %v, want the run's own error", err)
 	}
 }
 

@@ -1,11 +1,24 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"dstore/internal/core"
 )
+
+// compare runs one benchmark under CCSM and direct store.
+func compare(code string, in Input) (Comparison, error) {
+	return compareWith(code, in, core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeDirectStore))
+}
+
+// compareWith runs one benchmark under two explicit configurations
+// (baseline first) as a one-job sweep.
+func compareWith(code string, in Input, base, ds core.Config) (Comparison, error) {
+	cs, _, err := Sweep(context.Background(), []SweepJob{{Code: code, In: in, Base: base, DS: ds}}, SweepOptions{Workers: 1})
+	return cs[0], err
+}
 
 func TestRegistryMatchesTable2(t *testing.T) {
 	codes := Codes()
@@ -78,7 +91,7 @@ func TestPTSelfInitialises(t *testing.T) {
 	if w.phases[0].kernel == nil {
 		t.Error("PT phase 1 is not a GPU init kernel")
 	}
-	c, err := Compare("PT", Small)
+	c, err := compare("PT", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +104,7 @@ func TestPTSelfInitialises(t *testing.T) {
 }
 
 func TestNNIsTheHeadlineWinner(t *testing.T) {
-	c, err := Compare("NN", Small)
+	c, err := compare("NN", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +123,7 @@ func TestDirectStoreNeverSlowsMeaningfully(t *testing.T) {
 	// The paper: "converting programs to use direct store never hurts
 	// performance". Allow a ±1% simulation-noise band on a fast subset.
 	for _, code := range []string{"BP", "HT", "LV", "PT", "BL", "MT", "SP", "GC"} {
-		c, err := Compare(code, Small)
+		c, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +137,7 @@ func TestSharedMemoryBenchmarksGainLittleSmall(t *testing.T) {
 	// Fig. 4 discussion: KM and LV use shared memory heavily and show
 	// no speedup for small inputs.
 	for _, code := range []string{"KM", "LV"} {
-		c, err := Compare(code, Small)
+		c, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +154,7 @@ func TestStreamingBenchmarksGainBigSmall(t *testing.T) {
 	// NN, BL, VA, MM, MT are the >10% club for small inputs (MT lands
 	// just under in this reproduction; hold it to >5%).
 	for _, code := range []string{"BL", "VA", "MM"} {
-		c, err := Compare(code, Small)
+		c, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +162,7 @@ func TestStreamingBenchmarksGainBigSmall(t *testing.T) {
 			t.Errorf("%s small speedup %.1f%%, want >10%%", code, s*100)
 		}
 	}
-	c, err := Compare("MT", Small)
+	c, err := compare("MT", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +175,11 @@ func TestBigInputShrinksStreamingGains(t *testing.T) {
 	// §IV-C: for NN, BL, VA, MM the big-input speedup is smaller than
 	// small-input (working set exceeds the 2MB GPU L2).
 	for _, code := range []string{"BL", "VA"} {
-		small, err := Compare(code, Small)
+		small, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := Compare(code, Big)
+		big, err := compare(code, Big)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +194,11 @@ func TestBigInputGrowsSharedMemoryGains(t *testing.T) {
 	// §IV-C: BP and HT gain more on big inputs, where parallelism can
 	// no longer hide the memory latency.
 	for _, code := range []string{"BP", "LU"} {
-		small, err := Compare(code, Small)
+		small, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
-		big, err := Compare(code, Big)
+		big, err := compare(code, Big)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +211,7 @@ func TestBigInputGrowsSharedMemoryGains(t *testing.T) {
 
 func TestMissRateNeverWorseOnQuickSubset(t *testing.T) {
 	for _, code := range []string{"BP", "HT", "GC", "SP", "BL", "PT"} {
-		c, err := Compare(code, Small)
+		c, err := compare(code, Small)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +225,7 @@ func TestMissRateNeverWorseOnQuickSubset(t *testing.T) {
 func TestCoherenceTrafficReduced(t *testing.T) {
 	// §III-A: direct store "reduces coherence traffic for providing the
 	// data to the GPU".
-	c, err := Compare("NN", Small)
+	c, err := compare("NN", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +256,7 @@ func TestGeomeanHelpers(t *testing.T) {
 }
 
 func TestFigTablesRender(t *testing.T) {
-	c, err := Compare("HT", Small)
+	c, err := compare("HT", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +286,11 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestStandaloneModeMatchesDirectStoreDirection(t *testing.T) {
-	ds, err := Compare("BL", Small)
+	ds, err := compare("BL", Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa, err := CompareWithConfigs("BL", Small,
+	sa, err := compareWith("BL", Small,
 		core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeStandalone))
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -43,34 +44,35 @@ func TestRunWithConfigContextMidFlight(t *testing.T) {
 	}
 }
 
-// TestRunWithConfigContextBackgroundIdentical checks the context entry
-// point with an uncancellable context reproduces RunWithConfig's
-// result exactly (the byte-identical-output property the sweep layer
-// depends on).
+// TestRunWithConfigContextBackgroundIdentical checks that a run under a
+// cancellable context that is never cancelled (the engine polls for a
+// stop between event batches) reproduces the background-context run
+// (the plain engine loop, no polling) exactly: the byte-identical-output
+// property the sweep layer depends on.
 func TestRunWithConfigContextBackgroundIdentical(t *testing.T) {
-	want, err := RunWithConfig("NN", core.DefaultConfig(core.ModeDirectStore), Small)
+	want, err := RunWithConfigContext(context.Background(), "NN", core.DefaultConfig(core.ModeDirectStore), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWithConfigContext(context.Background(), "NN", core.DefaultConfig(core.ModeDirectStore), Small)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunWithConfigContext(ctx, "NN", core.DefaultConfig(core.ModeDirectStore), Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Ticks != want.Ticks || got.L2Accesses != want.L2Accesses ||
-		got.L2Misses != want.L2Misses || got.Pushes != want.Pushes ||
-		got.XbarBytes != want.XbarBytes || got.DirectBytes != want.DirectBytes {
-		t.Fatalf("context run diverged from plain run:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("polled run diverged from plain run:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestSweepWithTimingsContextCancelled checks a cancelled sweep
-// reports every job as failed with the context error and still returns
-// a result slice of the right shape.
-func TestSweepWithTimingsContextCancelled(t *testing.T) {
+// TestSweepCancelled checks a cancelled sweep reports every job as
+// failed with the context error and still returns a result slice of
+// the right shape.
+func TestSweepCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	jobs := StandardJobs(Small)[:4]
-	results, _, err := SweepWithTimingsContext(ctx, jobs, SweepOptions{Workers: 2})
+	results, _, err := Sweep(ctx, jobs, SweepOptions{Workers: 2})
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}

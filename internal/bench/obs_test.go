@@ -33,7 +33,7 @@ func TestResultsIdenticalWithTracing(t *testing.T) {
 		}
 		cfg := core.DefaultConfig(mode)
 		cfg.Obs = fullObs()
-		traced, err := RunWithConfig("MT", cfg, Small)
+		traced, err := RunWithConfigContext(context.Background(), "MT", cfg, Small)
 		if err != nil {
 			t.Fatalf("traced run (%s): %v", mode, err)
 		}
@@ -64,7 +64,7 @@ func TestGoldenTraces(t *testing.T) {
 	} {
 		cfg := core.DefaultConfig(tc.mode)
 		cfg.Obs = fullObs()
-		if _, err := RunWithConfig("MT", cfg, Small); err != nil {
+		if _, err := RunWithConfigContext(context.Background(), "MT", cfg, Small); err != nil {
 			t.Fatalf("MT/%s: %v", tc.mode, err)
 		}
 		var got bytes.Buffer
@@ -120,7 +120,7 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 			jobs[i].DS.Obs = fullObs()
 			observers = append(observers, jobs[i].Base.Obs, jobs[i].DS.Obs)
 		}
-		if _, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: workers}); err != nil {
+		if _, _, err := Sweep(context.Background(), jobs, SweepOptions{Workers: workers}); err != nil {
 			t.Fatalf("sweep (workers=%d): %v", workers, err)
 		}
 		var out [][]byte
@@ -154,7 +154,7 @@ func TestPushToUseHistogramShift(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeCCSM, core.ModeDirectStore} {
 		cfg := core.DefaultConfig(mode)
 		cfg.Obs = obs.New(obs.Options{Hist: true})
-		if _, err := RunWithConfig("NN", cfg, Small); err != nil {
+		if _, err := RunWithConfigContext(context.Background(), "NN", cfg, Small); err != nil {
 			t.Fatalf("NN/%s: %v", mode, err)
 		}
 		h := cfg.Obs.Hist(obs.HistGPULoadLat)
@@ -176,12 +176,12 @@ func TestPushToUseHistogramShift(t *testing.T) {
 }
 
 // TestTimedRunPhases checks the host phase clock plumbing: a counting
-// clock yields monotone non-zero phases, and the timed variant's Result
+// clock yields monotone non-zero phases, and the timed run's Result
 // matches the untimed one exactly.
 func TestTimedRunPhases(t *testing.T) {
 	var fake uint64
 	clock := func() uint64 { fake += 7; return fake }
-	timed, hp, err := RunWithConfigTimedContext(context.Background(), "MT", core.DefaultConfig(core.ModeCCSM), Small, clock)
+	timed, hp, _, err := run(context.Background(), "MT", core.DefaultConfig(core.ModeCCSM), Small, nil, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestTimedRunPhases(t *testing.T) {
 
 	// Sweep-level timings arrive per job, in job order.
 	jobs := StandardJobs(Small)[:2]
-	_, timings, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 1, Clock: clock})
+	_, timings, err := Sweep(context.Background(), jobs, SweepOptions{Workers: 1, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

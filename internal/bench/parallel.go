@@ -23,7 +23,7 @@ type SweepJob struct {
 }
 
 // StandardJobs returns the full Table II sweep for one input size under
-// the default configurations — the job list behind RunAll.
+// the default configurations: the Fig. 4/5 job list.
 func StandardJobs(in Input) []SweepJob {
 	codes := Codes()
 	jobs := make([]SweepJob, len(codes))
@@ -44,10 +44,10 @@ type SweepOptions struct {
 	// sequentially on the calling goroutine, recovering the historical
 	// behaviour exactly.
 	Workers int
-	// Clock, if set, measures host-side phase time for
-	// SweepWithTimingsContext (cmd/dstore-bench injects a time.Now-backed
-	// clock). Host timing never reaches the simulation, so results are
-	// identical with or without it.
+	// Clock, if set, measures host-side phase time for Sweep
+	// (cmd/dstore-bench injects a time.Now-backed clock). Host timing
+	// never reaches the simulation, so results are identical with or
+	// without it.
 	Clock obs.Clock
 }
 
@@ -116,18 +116,20 @@ func (e *SweepError) FailedIndices() map[int]bool {
 	return m
 }
 
-// SweepWithTimingsContext runs every job and returns one Comparison
-// per job, in job order regardless of completion order, plus each
-// job's host-side phase breakdown (setup/run/report, both runs of the
-// pair summed) as measured by opt.Clock; a nil clock reports zeros.
-// Each job builds its own core.System and sim.Engine, so runs are fully
-// independent and results are identical whatever the worker count. If
-// any job fails, the error is a *SweepError listing every failure;
-// successful entries in the result slice are still valid. On
-// cancellation, in-flight comparisons are abandoned mid-simulation and
-// not-yet-started jobs are skipped; both are reported in the
-// *SweepError as failures carrying ctx's error.
-func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, []HostPhases, error) {
+// Sweep runs every job, each a baseline-vs-direct-store comparison,
+// and returns one Comparison per job, in job order regardless of
+// completion order, plus each job's host-side phase breakdown
+// (setup/run/report, both runs of the pair summed) as measured by
+// opt.Clock; a nil clock reports zeros. Each job builds its own
+// core.System and sim.Engine, so runs are fully independent and
+// results are identical whatever the worker count. If any job fails,
+// the error is a *SweepError listing every failure; successful entries
+// in the result slice are still valid, and a failed entry holds the
+// baseline Result if only the second run failed. On cancellation,
+// in-flight comparisons are abandoned mid-simulation and not-yet-started
+// jobs are skipped; both are reported in the *SweepError as failures
+// carrying ctx's error.
+func Sweep(ctx context.Context, jobs []SweepJob, opt SweepOptions) ([]Comparison, []HostPhases, error) {
 	results := make([]Comparison, len(jobs))
 	timings := make([]HostPhases, len(jobs))
 	errs := make([]error, len(jobs))
@@ -137,7 +139,15 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 			errs[i] = err
 			return
 		}
-		results[i], timings[i], errs[i] = CompareWithConfigsTimedContext(ctx, jobs[i].Code, jobs[i].In, jobs[i].Base, jobs[i].DS, opt.Clock)
+		j := &jobs[i]
+		results[i] = Comparison{Code: j.Code, In: j.In}
+		var hp HostPhases
+		results[i].CCSM, timings[i], _, errs[i] = run(ctx, j.Code, j.Base, j.In, nil, opt.Clock)
+		if errs[i] != nil {
+			return
+		}
+		results[i].DS, hp, _, errs[i] = run(ctx, j.Code, j.DS, j.In, nil, opt.Clock)
+		timings[i] = timings[i].Add(hp)
 	}
 
 	if w := opt.workers(len(jobs)); w == 1 {
@@ -177,12 +187,4 @@ func SweepWithTimingsContext(ctx context.Context, jobs []SweepJob, opt SweepOpti
 		return results, timings, sweepErr
 	}
 	return results, timings, nil
-}
-
-// RunAllParallel compares every Table II benchmark for one input size
-// using opt.Workers concurrent runs. The results are identical to
-// RunAll's, in the same Table II order.
-func RunAllParallel(in Input, opt SweepOptions) ([]Comparison, error) {
-	results, _, err := SweepWithTimingsContext(context.Background(), StandardJobs(in), opt)
-	return results, err
 }

@@ -30,15 +30,15 @@ func subsetJobs(codes ...string) []SweepJob {
 // numbers.
 func TestParallelSweepDeterminism(t *testing.T) {
 	jobs := subsetJobs("BP", "HT", "GC", "BL", "PT")
-	seq1, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 1})
+	seq1, _, err := Sweep(context.Background(), jobs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq2, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 1})
+	seq2, _, err := Sweep(context.Background(), jobs, SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 8})
+	par, _, err := Sweep(context.Background(), jobs, SweepOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,29 +55,12 @@ func TestParallelSweepDeterminism(t *testing.T) {
 	}
 }
 
-func TestRunAllParallelMatchesRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Table II sweep in -short mode")
-	}
-	seq, err := RunAll(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunAllParallel(Small, SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("RunAllParallel diverged from RunAll")
-	}
-}
-
-// TestSweepAttemptsEveryJob pins the RunAll bugfix: a failing benchmark
+// TestSweepAttemptsEveryJob pins the sweep bugfix: a failing benchmark
 // must not abort the sweep; every other job still runs and the error
 // reports each failure with its position.
 func TestSweepAttemptsEveryJob(t *testing.T) {
 	jobs := subsetJobs("BP", "XX", "GC", "YY", "PT") // XX and YY do not exist
-	results, _, err := SweepWithTimingsContext(context.Background(), jobs, SweepOptions{Workers: 2})
+	results, _, err := Sweep(context.Background(), jobs, SweepOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("sweep with unknown benchmarks reported no error")
 	}

@@ -14,10 +14,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 
 	"dstore/internal/core"
-	"dstore/internal/sim"
 )
 
 // SnapshotStore is a content-addressed snapshot cache. Implementations
@@ -96,49 +94,6 @@ func PrefixKey(code string, cfg core.Config, in Input) (string, bool) {
 // failure falls back to an ordinary cold run; the Result is
 // byte-identical either way.
 func RunWithSnapshotContext(ctx context.Context, code string, cfg core.Config, in Input, store SnapshotStore) (Result, bool, error) {
-	key, eligible := PrefixKey(code, cfg, in)
-	if store == nil || !eligible {
-		res, err := RunWithConfigContext(ctx, code, cfg, in)
-		return res, false, err
-	}
-
-	sys := core.NewSystem(cfg)
-	w, err := Build(sys, code, in)
-	if err != nil {
-		return Result{}, false, err
-	}
-
-	if blob, ok := store.Get(key); ok {
-		if err := sys.RestoreSnapshot(blob); err == nil {
-			// The run began at tick 0, so the restored clock is the
-			// produce phase's tick count.
-			per := []sim.Tick{sys.Now()}
-			tail, err := w.RunPhaseRangeContext(ctx, sys, 1, w.Phases())
-			if err != nil {
-				return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-			}
-			res, err := sealResult(sys, code, cfg, in, append(per, tail...))
-			return res, true, err
-		}
-		// A snapshot this build cannot restore (format or shape drift):
-		// discard the half-written system and run cold.
-		sys = core.NewSystem(cfg)
-		if w, err = Build(sys, code, in); err != nil {
-			return Result{}, false, err
-		}
-	}
-
-	per, err := w.RunPhaseRangeContext(ctx, sys, 0, 1)
-	if err != nil {
-		return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	if blob, serr := sys.Snapshot(); serr == nil {
-		store.Put(key, blob)
-	}
-	tail, err := w.RunPhaseRangeContext(ctx, sys, 1, w.Phases())
-	if err != nil {
-		return Result{}, false, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
-	}
-	res, err := sealResult(sys, code, cfg, in, append(per, tail...))
-	return res, false, err
+	res, _, restored, err := run(ctx, code, cfg, in, store, nil)
+	return res, restored, err
 }

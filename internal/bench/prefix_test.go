@@ -2,11 +2,13 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"dstore/internal/core"
+	"dstore/internal/obs"
 )
 
 // mapStore is a trivial SnapshotStore for tests.
@@ -39,7 +41,10 @@ func (s *mapStore) Put(key string, snapshot []byte) {
 // TestSnapshotRoundTripGolden is the golden round-trip guarantee: a
 // run resumed from a post-produce snapshot produces a byte-identical
 // Result to the uninterrupted run, across benchmarks, modes and
-// configurations.
+// configurations. Each case runs the one run body down every branch,
+// with and without a host clock: cold, store miss (produce, then
+// store the snapshot) and store hit (restore, then resume), all
+// pinned against one plain run.
 func TestSnapshotRoundTripGolden(t *testing.T) {
 	cases := []struct {
 		code string
@@ -53,42 +58,48 @@ func TestSnapshotRoundTripGolden(t *testing.T) {
 		{"MM", core.ModeDirectStore, func(c *core.Config) { c.NoC = "ring" }},
 		{"MM", core.ModeDirectStore, func(c *core.Config) { c.RegionDirectory = true }},
 	}
+	var fake uint64
+	counting := func() uint64 { fake += 7; return fake }
+	ctx := context.Background()
 	for _, tc := range cases {
 		cfg := core.DefaultConfig(tc.mode)
 		if tc.tune != nil {
 			tc.tune(&cfg)
 		}
-		name := tc.code + "/" + tc.mode.String()
-
-		cold, err := RunWithConfig(tc.code, cfg, Small)
+		want, err := RunWithConfigContext(ctx, tc.code, cfg, Small)
 		if err != nil {
-			t.Fatalf("%s: cold run: %v", name, err)
+			t.Fatalf("%s/%s: plain run: %v", tc.code, tc.mode, err)
 		}
+		for _, clock := range []obs.Clock{nil, counting} {
+			name := fmt.Sprintf("%s/%s/clock=%v", tc.code, tc.mode, clock != nil)
+			check := func(branch string, got Result, hp HostPhases, hit, wantHit bool, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, branch, err)
+				}
+				if hit != wantHit {
+					t.Fatalf("%s: %s: restored=%v, want %v", name, branch, hit, wantHit)
+				}
+				if clock != nil && (hp.SetupNS == 0 || hp.RunNS == 0 || hp.ReportNS == 0) {
+					t.Fatalf("%s: %s: host clock not read in every phase: %+v", name, branch, hp)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("%s: %s result diverged from the plain run:\nwant: %+v\n got: %+v", name, branch, want, got)
+				}
+			}
 
-		store := newMapStore()
-		first, hit, err := RunWithSnapshotContext(context.Background(), tc.code, cfg, Small, store)
-		if err != nil {
-			t.Fatalf("%s: first memoized run: %v", name, err)
-		}
-		if hit {
-			t.Fatalf("%s: first run reported a snapshot hit", name)
-		}
-		if store.puts != 1 {
-			t.Fatalf("%s: first run stored %d snapshots, want 1", name, store.puts)
-		}
-		if !reflect.DeepEqual(cold, first) {
-			t.Fatalf("%s: cold-path memoized result diverged:\ncold: %+v\nmemo: %+v", name, cold, first)
-		}
+			cold, hp, hit, err := run(ctx, tc.code, cfg, Small, nil, clock)
+			check("cold", cold, hp, hit, false, err)
 
-		warm, hit, err := RunWithSnapshotContext(context.Background(), tc.code, cfg, Small, store)
-		if err != nil {
-			t.Fatalf("%s: warm run: %v", name, err)
-		}
-		if !hit {
-			t.Fatalf("%s: warm run did not restore from snapshot", name)
-		}
-		if !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("%s: resumed result diverged from uninterrupted run:\ncold: %+v\nwarm: %+v", name, cold, warm)
+			store := newMapStore()
+			first, hp, hit, err := run(ctx, tc.code, cfg, Small, store, clock)
+			check("store miss", first, hp, hit, false, err)
+			if store.puts != 1 {
+				t.Fatalf("%s: store miss stored %d snapshots, want 1", name, store.puts)
+			}
+
+			warm, hp, hit, err := run(ctx, tc.code, cfg, Small, store, clock)
+			check("store hit", warm, hp, hit, true, err)
 		}
 	}
 }
@@ -126,7 +137,7 @@ func TestSnapshotPrefixSharedAcrossGPUConfigs(t *testing.T) {
 		t.Fatalf("seed run: hit=%v err=%v", hit, err)
 	}
 
-	coldVaried, err := RunWithConfig("MM", varied, Small)
+	coldVaried, err := RunWithConfigContext(context.Background(), "MM", varied, Small)
 	if err != nil {
 		t.Fatalf("cold varied run: %v", err)
 	}

@@ -33,22 +33,17 @@ type Result struct {
 // Run executes one benchmark under the default Table I configuration
 // for the given mode.
 func Run(code string, mode core.Mode, in Input) (Result, error) {
-	return RunWithConfig(code, core.DefaultConfig(mode), in)
+	return RunWithConfigContext(context.Background(), code, core.DefaultConfig(mode), in)
 }
 
-// RunWithConfig executes one benchmark under an explicit configuration.
-func RunWithConfig(code string, cfg core.Config, in Input) (Result, error) {
-	return RunWithConfigContext(context.Background(), code, cfg, in)
-}
-
-// RunWithConfigContext is RunWithConfig under a context: cancellation
-// abandons the simulation mid-flight and returns ctx's error. Each run
-// builds a private system, so an abandoned run leaks nothing into later
-// ones, and an uncancelled run is event-for-event identical to
-// RunWithConfig.
+// RunWithConfigContext executes one benchmark under an explicit
+// configuration. Cancelling ctx abandons the simulation mid-flight and
+// returns ctx's error. Each run builds a private system, so an
+// abandoned run leaks nothing into later ones, and an uncancelled run
+// is event-for-event identical whatever the context.
 func RunWithConfigContext(ctx context.Context, code string, cfg core.Config, in Input) (Result, error) {
-	r, _, err := RunWithConfigTimedContext(ctx, code, cfg, in, nil)
-	return r, err
+	res, _, _, err := run(ctx, code, cfg, in, nil, nil)
+	return res, err
 }
 
 // HostPhases breaks one run's host-side wall time into the phases a
@@ -75,31 +70,69 @@ func (h HostPhases) Add(other HostPhases) HostPhases {
 	}
 }
 
-// RunWithConfigTimedContext is RunWithConfigContext with a host-side
-// phase breakdown measured by clock (nil clock reports zeros). The
-// simulated Result is byte-identical to RunWithConfigContext's.
-func RunWithConfigTimedContext(ctx context.Context, code string, cfg core.Config, in Input, clock obs.Clock) (Result, HostPhases, error) {
+// run is the one body behind every entry point: build the system and
+// workload, drive the phases, and seal the Result. With a store, a
+// memoizable job (PrefixKey) resumes from a stored produce-prefix
+// snapshot, or runs the produce phase cold and stores its snapshot;
+// restored reports which. A nil store, an ineligible job, or a
+// snapshot this build cannot restore runs cold, and the Result is
+// byte-identical either way. clock, if set, measures the host-side
+// phases; it never feeds back into the simulation.
+func run(ctx context.Context, code string, cfg core.Config, in Input, store SnapshotStore, clock obs.Clock) (res Result, hp HostPhases, restored bool, err error) {
 	if clock == nil {
 		clock = func() uint64 { return 0 }
 	}
-	var hp HostPhases
+	wrap := func(err error) error { return fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err) }
 	t0 := clock()
 	sys := core.NewSystem(cfg)
 	w, err := Build(sys, code, in)
 	hp.SetupNS = clock() - t0
 	if err != nil {
-		return Result{}, hp, err
+		return Result{}, hp, false, err
 	}
+
 	t1 := clock()
-	_, phases, err := w.RunPhasesContext(ctx, sys)
+	var per []sim.Tick
+	lo := 0
+	key, eligible := "", false
+	if store != nil {
+		key, eligible = PrefixKey(code, cfg, in)
+	}
+	if eligible {
+		if blob, ok := store.Get(key); ok {
+			if sys.RestoreSnapshot(blob) == nil {
+				// The run began at tick 0, so the restored clock is the
+				// produce phase's tick count.
+				per, lo, restored = []sim.Tick{sys.Now()}, 1, true
+			} else {
+				// A snapshot this build cannot restore (format or shape
+				// drift): discard the half-written system and run cold.
+				sys = core.NewSystem(cfg)
+				if w, err = Build(sys, code, in); err != nil {
+					return Result{}, hp, false, err
+				}
+			}
+		}
+		if !restored {
+			if per, err = w.RunPhaseRangeContext(ctx, sys, 0, 1); err != nil {
+				return Result{}, hp, false, wrap(err)
+			}
+			if blob, serr := sys.Snapshot(); serr == nil {
+				store.Put(key, blob)
+			}
+			lo = 1
+		}
+	}
+	tail, err := w.RunPhaseRangeContext(ctx, sys, lo, w.Phases())
 	hp.RunNS = clock() - t1
 	if err != nil {
-		return Result{}, hp, fmt.Errorf("bench %s (%s, %s): %w", code, cfg.Mode, in, err)
+		return Result{}, hp, false, wrap(err)
 	}
+
 	t2 := clock()
-	res, err := sealResult(sys, code, cfg, in, phases)
+	res, err = sealResult(sys, code, cfg, in, append(per, tail...))
 	hp.ReportNS = clock() - t2
-	return res, hp, err
+	return res, hp, restored, err
 }
 
 // sealResult finishes a run that started at tick 0, so the final clock
@@ -147,43 +180,6 @@ func (c Comparison) Speedup() float64 {
 // reduction under direct store).
 func (c Comparison) MissRateDelta() float64 {
 	return c.CCSM.MissRate - c.DS.MissRate
-}
-
-// Compare runs one benchmark under both modes.
-func Compare(code string, in Input) (Comparison, error) {
-	return CompareWithConfigs(code, in, core.DefaultConfig(core.ModeCCSM), core.DefaultConfig(core.ModeDirectStore))
-}
-
-// CompareWithConfigs runs one benchmark under two explicit
-// configurations (baseline first).
-func CompareWithConfigs(code string, in Input, base, ds core.Config) (Comparison, error) {
-	c, _, err := CompareWithConfigsTimedContext(context.Background(), code, in, base, ds, nil)
-	return c, err
-}
-
-// CompareWithConfigsTimedContext is CompareWithConfigs under a context,
-// with a host phase breakdown summed over the pair's two runs.
-func CompareWithConfigsTimedContext(ctx context.Context, code string, in Input, base, ds core.Config, clock obs.Clock) (Comparison, HostPhases, error) {
-	c := Comparison{Code: code, In: in}
-	var hp, h HostPhases
-	var err error
-	if c.CCSM, h, err = RunWithConfigTimedContext(ctx, code, base, in, clock); err != nil {
-		return c, hp.Add(h), err
-	}
-	hp = hp.Add(h)
-	if c.DS, h, err = RunWithConfigTimedContext(ctx, code, ds, in, clock); err != nil {
-		return c, hp.Add(h), err
-	}
-	return c, hp.Add(h), nil
-}
-
-// RunAll compares every Table II benchmark for one input size,
-// sequentially. Every benchmark is attempted even if one fails; failures
-// are aggregated into a *SweepError so one broken profile cannot hide
-// the other results. Use RunAllParallel to spread the sweep across
-// cores.
-func RunAll(in Input) ([]Comparison, error) {
-	return RunAllParallel(in, SweepOptions{Workers: 1})
 }
 
 // speedupThreshold is the rounding floor below which the paper plots a

@@ -246,29 +246,6 @@ func buildKernel(p profile, in Input, k, passes int, readLines, outLines []memsy
 	return gpu.Kernel{Name: fmt.Sprintf("%s.k%d", p.code, k), Warps: ws}
 }
 
-// Run executes the workload's phases in order and returns total ticks.
-func (w *Workload) Run(sys *core.System) sim.Tick {
-	t, _ := w.RunPhases(sys)
-	return t
-}
-
-// RunPhases executes the workload and additionally returns per-phase
-// tick counts (produce/kernels/readback), for analysis output.
-func (w *Workload) RunPhases(sys *core.System) (sim.Tick, []sim.Tick) {
-	t, per, _ := w.RunPhasesContext(context.Background(), sys)
-	return t, per
-}
-
-// RunPhasesContext is RunPhases under a context: cancellation abandons
-// the workload between or inside phases, returning the ticks and
-// completed-phase counts accumulated so far along with ctx's error. A
-// cancelled system is torn mid-transaction and must be discarded.
-func (w *Workload) RunPhasesContext(ctx context.Context, sys *core.System) (sim.Tick, []sim.Tick, error) {
-	start := sys.Now()
-	per, err := w.RunPhaseRangeContext(ctx, sys, 0, len(w.phases))
-	return sys.Now() - start, per, err
-}
-
 // RunPhaseRangeContext executes phases [lo, hi) in order, returning
 // per-phase tick counts for the range. It is the resume entry point
 // for snapshot-restored systems: a system restored from a snapshot
@@ -282,17 +259,15 @@ func (w *Workload) RunPhaseRangeContext(ctx context.Context, sys *core.System, l
 		if err := ctx.Err(); err != nil {
 			return per, err
 		}
-		p0 := sys.Now()
-		var err error
-		if ph.kernel != nil {
-			_, err = sys.RunKernelContext(ctx, *ph.kernel)
-		} else {
-			_, err = sys.RunCPUContext(ctx, ph.ops)
+		var ops cpu.OpStream
+		if ph.kernel == nil {
+			ops = cpu.NewSliceStream(ph.ops)
 		}
+		t, err := sys.RunPhaseContext(ctx, ops, ph.kernel)
 		if err != nil {
 			return per, err
 		}
-		per = append(per, sys.Now()-p0)
+		per = append(per, t)
 	}
 	return per, nil
 }

@@ -2,8 +2,9 @@
 // benchmark result lines BENCH_sim_engine.txt is made of. It covers
 // exactly the subset this repo's tooling needs — one value per
 // (benchmark, unit) — so the regression differ (cmd/dstore-benchdiff)
-// and the machine-readable baseline writer (dstore-bench
-// -baseline-json) agree on what a baseline file says.
+// and the fleet's sweep report (internal/fleet), which renders its
+// results in this format and parses them back, agree on what a
+// benchmark file says.
 package benchfmt
 
 import (

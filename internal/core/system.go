@@ -510,71 +510,56 @@ func ctxStop(ctx context.Context) func() bool {
 	}
 }
 
-// RunCPU executes a CPU op stream to completion (produce or readback
-// phase) and returns the elapsed ticks.
-func (s *System) RunCPU(ops []cpu.Op) sim.Tick {
-	t, err := s.RunCPUContext(context.Background(), ops)
-	if err != nil {
-		panic("core: CPU phase cancelled without a cancellable context")
-	}
-	return t
-}
-
-// RunCPUContext is RunCPU under a context: the phase is abandoned
-// mid-simulation if ctx is cancelled, returning ctx's error and the
-// ticks elapsed so far. A cancelled system is torn mid-transaction and
-// must not be reused for further phases or invariant checks.
-func (s *System) RunCPUContext(ctx context.Context, ops []cpu.Op) (sim.Tick, error) {
+// RunPhaseContext runs one phase to completion and returns the elapsed
+// ticks: the CPU op stream ops, the kernel k, or both overlapped (the
+// CPU keeps producing while the GPU consumes). A nil ops or k leaves
+// that side idle. Cancelling ctx abandons the phase mid-simulation,
+// returning ctx's error and the ticks elapsed so far; a cancelled
+// system is torn mid-transaction and must not be reused for further
+// phases or invariant checks. RunCPU, RunKernel and RunOverlapped pass
+// a background context, which is never cancelled, so they drop the
+// always-nil error.
+func (s *System) RunPhaseContext(ctx context.Context, ops cpu.OpStream, k *gpu.Kernel) (sim.Tick, error) {
 	start := s.Engine.Now()
-	done := false
-	s.Core.Run(cpu.NewSliceStream(ops), func() { done = true })
+	cpuDone, gpuDone := ops == nil, k == nil
+	if ops != nil {
+		s.Core.Run(ops, func() { cpuDone = true })
+	}
+	if k != nil {
+		s.GPU.Launch(*k, func() { gpuDone = true })
+	}
 	if _, drained := s.Engine.RunInterruptible(ctxStop(ctx)); !drained {
 		return s.Engine.Now() - start, ctx.Err()
 	}
-	if !done {
+	if !cpuDone {
 		panic("core: CPU phase did not complete")
 	}
+	if !gpuDone {
+		panic(fmt.Sprintf("core: kernel %q did not complete", k.Name))
+	}
 	return s.Engine.Now() - start, nil
+}
+
+// RunCPU executes a CPU op stream to completion (produce or readback
+// phase) and returns the elapsed ticks.
+func (s *System) RunCPU(ops []cpu.Op) sim.Tick {
+	t, _ := s.RunPhaseContext(context.Background(), cpu.NewSliceStream(ops), nil)
+	return t
 }
 
 // RunKernel launches a GPU kernel to completion and returns the elapsed
 // ticks.
 func (s *System) RunKernel(k gpu.Kernel) sim.Tick {
-	t, err := s.RunKernelContext(context.Background(), k)
-	if err != nil {
-		panic("core: kernel cancelled without a cancellable context")
-	}
+	t, _ := s.RunPhaseContext(context.Background(), nil, &k)
 	return t
-}
-
-// RunKernelContext is RunKernel under a context, with the same
-// cancellation contract as RunCPUContext.
-func (s *System) RunKernelContext(ctx context.Context, k gpu.Kernel) (sim.Tick, error) {
-	start := s.Engine.Now()
-	done := false
-	s.GPU.Launch(k, func() { done = true })
-	if _, drained := s.Engine.RunInterruptible(ctxStop(ctx)); !drained {
-		return s.Engine.Now() - start, ctx.Err()
-	}
-	if !done {
-		panic(fmt.Sprintf("core: kernel %q did not complete", k.Name))
-	}
-	return s.Engine.Now() - start, nil
 }
 
 // RunOverlapped runs a CPU op stream and a kernel concurrently (the
 // CPU keeps producing while the GPU consumes) and returns elapsed
 // ticks.
 func (s *System) RunOverlapped(ops []cpu.Op, k gpu.Kernel) sim.Tick {
-	start := s.Engine.Now()
-	cpuDone, gpuDone := false, false
-	s.Core.Run(cpu.NewSliceStream(ops), func() { cpuDone = true })
-	s.GPU.Launch(k, func() { gpuDone = true })
-	s.Engine.Run()
-	if !cpuDone || !gpuDone {
-		panic("core: overlapped phase did not complete")
-	}
-	return s.Engine.Now() - start
+	t, _ := s.RunPhaseContext(context.Background(), cpu.NewSliceStream(ops), &k)
+	return t
 }
 
 // Now returns the current simulation tick.
