@@ -315,18 +315,15 @@ func main() {
 }
 
 func parseInputs(s string) []bench.Input {
-	switch s {
-	case "small":
-		return []bench.Input{bench.Small}
-	case "big":
-		return []bench.Input{bench.Big}
-	case "both":
+	if s == "both" {
 		return []bench.Input{bench.Small, bench.Big}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown input size %q (want small, big or both)\n", s)
-		os.Exit(2)
-		return nil
 	}
+	if in, ok := bench.ParseInput(s); ok {
+		return []bench.Input{in}
+	}
+	fmt.Fprintf(os.Stderr, "unknown input size %q (want small, big or both)\n", s)
+	os.Exit(2)
+	return nil
 }
 
 func printComparison(c bench.Comparison) {

@@ -85,15 +85,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var mode core.Mode
-	switch *modeStr {
-	case "ccsm":
-		mode = core.ModeCCSM
-	case "direct-store":
-		mode = core.ModeDirectStore
-	case "standalone":
-		mode = core.ModeStandalone
-	default:
+	mode, ok := core.ParseMode(*modeStr)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *modeStr)
 		os.Exit(2)
 	}
@@ -121,12 +114,8 @@ func main() {
 		}
 		return
 	}
-	in := bench.Small
-	switch *inStr {
-	case "small":
-	case "big":
-		in = bench.Big
-	default:
+	in, ok := bench.ParseInput(*inStr)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown input %q\n", *inStr)
 		os.Exit(2)
 	}
@@ -302,25 +291,10 @@ func failIf(err error) {
 
 func indent(s string) string {
 	out := ""
-	for _, ln := range splitLines(s) {
+	for _, ln := range strings.Split(s, "\n") {
 		if ln != "" {
 			out += "  " + ln + "\n"
 		}
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
 	}
 	return out
 }

@@ -308,3 +308,18 @@ func TestInputString(t *testing.T) {
 		t.Error("input names wrong")
 	}
 }
+
+// TestParseInputInvertsString requires ParseInput to resolve exactly
+// the names Input.String produces.
+func TestParseInputInvertsString(t *testing.T) {
+	for _, in := range []Input{Small, Big} {
+		if got, ok := ParseInput(in.String()); !ok || got != in {
+			t.Errorf("ParseInput(%q) = %v, %v; want %v", in.String(), got, ok, in)
+		}
+	}
+	for _, bad := range []string{"", "Big", "both", "small "} {
+		if _, ok := ParseInput(bad); ok {
+			t.Errorf("ParseInput(%q) accepted a non-canonical name", bad)
+		}
+	}
+}

@@ -35,6 +35,18 @@ func (in Input) String() string {
 	return "small"
 }
 
+// ParseInput is the inverse of Input.String: it resolves "small" or
+// "big", and ok is false for any other string.
+func ParseInput(name string) (in Input, ok bool) {
+	switch name {
+	case Small.String():
+		return Small, true
+	case Big.String():
+		return Big, true
+	}
+	return 0, false
+}
+
 // patternKind selects the GPU's walk over the shared data.
 type patternKind uint8
 

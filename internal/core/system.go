@@ -56,6 +56,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it resolves a canonical mode
+// name, and ok is false for any other string. Callers own trimming,
+// case folding, defaults and error wording.
+func ParseMode(name string) (m Mode, ok bool) {
+	for c := ModeCCSM; c <= ModeStandalone; c++ {
+		if c.String() == name {
+			return c, true
+		}
+	}
+	return 0, false
+}
+
 // DirectStoreEnabled reports whether the mode uses the push path.
 func (m Mode) DirectStoreEnabled() bool { return m != ModeCCSM }
 

@@ -381,3 +381,18 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestParseModeInvertsString requires ParseMode to resolve exactly the
+// names Mode.String produces.
+func TestParseModeInvertsString(t *testing.T) {
+	for _, m := range []Mode{ModeCCSM, ModeDirectStore, ModeStandalone} {
+		if got, ok := ParseMode(m.String()); !ok || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, ok, m)
+		}
+	}
+	for _, bad := range []string{"", "CCSM", " ccsm", "Mode(3)", "direct_store"} {
+		if _, ok := ParseMode(bad); ok {
+			t.Errorf("ParseMode(%q) accepted a non-canonical name", bad)
+		}
+	}
+}

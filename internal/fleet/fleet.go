@@ -21,6 +21,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -409,7 +410,7 @@ func (c *Coordinator) do(ctx context.Context, method, url string, body []byte) (
 func (c *Coordinator) doT(ctx context.Context, method, url string, body []byte, tc traceCtx) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
-		rd = readerOf(body)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
@@ -429,20 +430,6 @@ func (c *Coordinator) doT(ctx context.Context, method, url string, body []byte, 
 		return 0, nil, nil, err
 	}
 	return resp.StatusCode, resp.Header, b, nil
-}
-
-// readerOf avoids importing bytes just for one constructor call site.
-func readerOf(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // runResp mirrors the worker's run-response envelope.
@@ -724,7 +711,7 @@ func (c *Coordinator) awaitResult(ctx context.Context, base, id string, tc trace
 // canonicalizeSpec parses a submitted job spec and returns its
 // normalized form, canonical serialization and content-addressed ID.
 func canonicalizeSpec(raw []byte) (serve.JobSpec, []byte, string, error) {
-	dec := json.NewDecoder(readerOf(raw))
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var spec serve.JobSpec
 	if err := dec.Decode(&spec); err != nil {

@@ -1,11 +1,12 @@
-// Package dtrace is the fleet's distributed-tracing layer: a
-// deterministic, zero-dependency span recorder threaded through the
-// coordinator and every worker. It reuses the 32-byte packed
-// ring-buffer design the single-process observer proved (overwrite
-// oldest, count drops, nil-safe everywhere) and adds the two things a
-// fleet needs on top: a trace context that propagates across process
-// boundaries in HTTP headers, and exporters that stitch the per-process
-// rings into one multi-process Chrome trace.
+// Package dtrace is the fleet's measurement plane. Its tracing half is
+// a deterministic span recorder threaded through the coordinator and
+// every worker. It records 32-byte packed spans into the same
+// overwrite-oldest obs.Ring the single-process observer uses (count
+// drops, nil-safe everywhere) and adds the two things a fleet needs on
+// top: a trace context that propagates across process boundaries in
+// HTTP headers, and exporters that stitch the per-process rings into
+// one multi-process Chrome trace. Its metrics half (promfed.go) is the
+// one Prometheus text-format writer and parser of the daemons.
 //
 // Determinism contract: the package never reads the wall clock. Time
 // comes from an injected Clock (the daemons inject time.Now at the cmd
@@ -22,6 +23,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"dstore/internal/obs"
 )
 
 // SpanKind identifies one lifecycle stage of a job or sweep.
@@ -171,12 +174,8 @@ type Recorder struct {
 	step atomic.Uint64 // fallback clock
 	open atomic.Int64  // spans begun but not yet ended
 
-	mu       sync.Mutex
-	spans    []Span
-	head     int
-	wrapped  bool
-	recorded uint64
-	dropped  uint64
+	mu    sync.Mutex
+	spans obs.Ring[Span]
 }
 
 // DefaultCap is the default ring capacity (512 KiB of spans).
@@ -193,7 +192,7 @@ func New(opt Options) *Recorder {
 	return &Recorder{
 		clock:   opt.Clock,
 		process: opt.Process,
-		spans:   make([]Span, 0, opt.Cap),
+		spans:   obs.NewRing[Span](opt.Cap),
 	}
 }
 
@@ -266,19 +265,8 @@ func (r *Recorder) Record(trace uint64, kind SpanKind, job uint32, arg uint16, s
 // record appends to the ring, overwriting oldest past capacity.
 func (r *Recorder) record(s Span) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.recorded++
-	if len(r.spans) < cap(r.spans) {
-		r.spans = append(r.spans, s)
-		return
-	}
-	r.spans[r.head] = s
-	r.head++
-	r.dropped++
-	if r.head == len(r.spans) {
-		r.head = 0
-		r.wrapped = true
-	}
+	r.spans.Push(s)
+	r.mu.Unlock()
 }
 
 // Spans returns the retained spans for one trace in export order
@@ -288,13 +276,14 @@ func (r *Recorder) Spans(trace uint64) []Span {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Span, 0, len(r.spans))
-	for _, s := range r.spans {
+	all := r.spans.Items()
+	r.mu.Unlock()
+	out := all[:0]
+	for _, s := range all {
 		if trace == 0 || s.Trace == trace {
 			out = append(out, s)
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
@@ -307,7 +296,8 @@ func (r *Recorder) Counts() (recorded, dropped uint64) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recorded, r.dropped
+	dropped = r.spans.Dropped()
+	return uint64(r.spans.Len()) + dropped, dropped
 }
 
 // Open returns the number of spans begun but not yet ended (nil-safe).

@@ -133,6 +133,16 @@ func (h *Histogram) Buckets() []Bucket {
 	return out
 }
 
+// Clone returns an independent copy of h (nil-safe: nil clones to nil,
+// which renders and reads as an empty histogram).
+func (h *Histogram) Clone() *Histogram {
+	if h == nil {
+		return nil
+	}
+	c := *h
+	return &c
+}
+
 // Merge folds other into h (nil-safe on both sides). Used by the serve
 // daemon to aggregate per-run histograms into process totals.
 func (h *Histogram) Merge(other *Histogram) {
@@ -154,28 +164,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.max > h.max {
 		h.max = other.max
 	}
-}
-
-// WriteProm renders the histogram as one Prometheus histogram family:
-// cumulative le-labelled buckets (upper bounds from the log2 bucket
-// ranges), the +Inf catch-all, then _sum and _count (nil-safe — a nil
-// or empty histogram renders the empty family: +Inf 0, _sum 0,
-// _count 0). The overflow bucket (values ≥ 2^63) has no finite upper
-// bound, so its observations appear only under +Inf rather than as a
-// spurious le="18446744073709551615" series.
-func (h *Histogram) WriteProm(w io.Writer, name string) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	var cum uint64
-	for _, bk := range h.Buckets() {
-		if bk.Hi == math.MaxUint64 {
-			break // overflow bucket: counted by +Inf below
-		}
-		cum += bk.Count
-		fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, bk.Hi, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
-	fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
 }
 
 // WriteText renders the histogram as an aligned text table with scaled

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -73,76 +72,18 @@ func TestZeroValueHistogramObserve(t *testing.T) {
 	}
 }
 
-// TestWriteProm covers the Prometheus renderer edges: empty
-// histograms, the cumulative le series, and the overflow bucket
-// folding into +Inf instead of a finite 2^64-1 bound.
-func TestWriteProm(t *testing.T) {
-	tests := []struct {
-		name    string
-		h       *Histogram
-		want    []string
-		notWant []string
-	}{
-		{
-			name: "empty",
-			h:    NewHistogram("h"),
-			want: []string{
-				"# TYPE m histogram\n",
-				`m_bucket{le="+Inf"} 0` + "\n",
-				"m_sum 0\nm_count 0\n",
-			},
-		},
-		{
-			name: "nil",
-			h:    nil,
-			want: []string{`m_bucket{le="+Inf"} 0` + "\n"},
-		},
-		{
-			name: "cumulative buckets",
-			h: func() *Histogram {
-				h := NewHistogram("h")
-				h.Observe(0) // bucket [0,0]
-				h.Observe(3) // bucket [2,3]
-				h.Observe(3)
-				return h
-			}(),
-			want: []string{
-				`m_bucket{le="0"} 1` + "\n",
-				`m_bucket{le="3"} 3` + "\n",
-				`m_bucket{le="+Inf"} 3` + "\n",
-				"m_sum 6\nm_count 3\n",
-			},
-		},
-		{
-			name: "overflow bucket folds into +Inf",
-			h: func() *Histogram {
-				h := NewHistogram("h")
-				h.Observe(5)
-				h.Observe(math.MaxUint64)
-				return h
-			}(),
-			want: []string{
-				`m_bucket{le="7"} 1` + "\n",
-				`m_bucket{le="+Inf"} 2` + "\n",
-			},
-			notWant: []string{"18446744073709551615"},
-		},
+// TestHistogramClone proves a clone is an equal, independent copy and
+// that a nil histogram clones to nil.
+func TestHistogramClone(t *testing.T) {
+	h := NewHistogram("h")
+	h.Observe(3)
+	h.Observe(700)
+	c := h.Clone()
+	h.Observe(1 << 40)
+	if c.Name() != "h" || c.Count() != 2 || c.Sum() != 703 || c.Min() != 3 || c.Max() != 700 || len(c.Buckets()) != 2 {
+		t.Fatalf("clone = count %d sum %d min %d max %d buckets %v", c.Count(), c.Sum(), c.Min(), c.Max(), c.Buckets())
 	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			var b strings.Builder
-			tt.h.WriteProm(&b, "m")
-			out := b.String()
-			for _, w := range tt.want {
-				if !strings.Contains(out, w) {
-					t.Fatalf("output missing %q:\n%s", w, out)
-				}
-			}
-			for _, nw := range tt.notWant {
-				if strings.Contains(out, nw) {
-					t.Fatalf("output contains %q:\n%s", nw, out)
-				}
-			}
-		})
+	if (*Histogram)(nil).Clone() != nil {
+		t.Fatal("nil histogram cloned to non-nil")
 	}
 }

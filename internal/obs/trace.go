@@ -126,8 +126,8 @@ func (o *Observer) WriteTrace(w io.Writer) error {
 	if _, err := io.WriteString(w, "\n]"); err != nil {
 		return err
 	}
-	if o != nil && o.dropped > 0 {
-		if _, err := fmt.Fprintf(w, ",\"otherData\":{\"droppedEvents\":\"%d\"}", o.dropped); err != nil {
+	if d := o.Dropped(); d > 0 {
+		if _, err := fmt.Fprintf(w, ",\"otherData\":{\"droppedEvents\":\"%d\"}", d); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 
 	"dstore/internal/chaos"
@@ -64,9 +63,13 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	mode, err := parseMode(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// The mode resolves like a job spec's, minus the case folding.
+	mode, ok := core.ModeDirectStore, true
+	if req.Mode != "" {
+		mode, ok = core.ParseMode(req.Mode)
+	}
+	if !ok {
+		writeError(w, http.StatusBadRequest, "serve: unknown mode %q (want ccsm, direct-store or standalone)", req.Mode)
 		return
 	}
 	if req.Instances < 1 {
@@ -117,18 +120,4 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		resp["error"] = sweepErr.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// parseMode resolves a mode name the same way job normalization does,
-// defaulting to direct-store.
-func parseMode(name string) (core.Mode, error) {
-	switch name {
-	case "", core.ModeDirectStore.String():
-		return core.ModeDirectStore, nil
-	case core.ModeCCSM.String():
-		return core.ModeCCSM, nil
-	case core.ModeStandalone.String():
-		return core.ModeStandalone, nil
-	}
-	return 0, fmt.Errorf("serve: unknown mode %q (want ccsm, direct-store or standalone)", name)
 }

@@ -112,25 +112,16 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		return n, fmt.Errorf("serve: unknown benchmark %q (see /v1/benchmarks)", s.Bench)
 	}
 
-	switch strings.ToLower(strings.TrimSpace(s.Mode)) {
-	case "", "direct-store":
-		n.Mode = core.ModeDirectStore.String()
-	case "ccsm":
-		n.Mode = core.ModeCCSM.String()
-	case "standalone":
-		n.Mode = core.ModeStandalone.String()
-	default:
+	mode := canonicalName(s.Mode, core.ModeDirectStore.String())
+	if _, ok := core.ParseMode(mode); !ok {
 		return n, fmt.Errorf("serve: unknown mode %q (want ccsm, direct-store or standalone)", s.Mode)
 	}
-
-	switch strings.ToLower(strings.TrimSpace(s.Input)) {
-	case "", "small":
-		n.Input = bench.Small.String()
-	case "big":
-		n.Input = bench.Big.String()
-	default:
+	n.Mode = mode
+	in := canonicalName(s.Input, bench.Small.String())
+	if _, ok := bench.ParseInput(in); !ok {
 		return n, fmt.Errorf("serve: unknown input %q (want small or big)", s.Input)
 	}
+	n.Input = in
 
 	if n.Config != nil && reflect.DeepEqual(n.Config, &ConfigOverride{}) {
 		n.Config = nil
@@ -138,32 +129,24 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	return n, nil
 }
 
-// mode maps the normalized mode name back to the core enum. The spec
-// must be normalized first.
-func (s JobSpec) mode() core.Mode {
-	switch s.Mode {
-	case core.ModeCCSM.String():
-		return core.ModeCCSM
-	case core.ModeStandalone.String():
-		return core.ModeStandalone
-	default:
-		return core.ModeDirectStore
+// canonicalName trims and lower-cases a mode or input name; empty
+// means def.
+func canonicalName(name, def string) string {
+	if name = strings.ToLower(strings.TrimSpace(name)); name == "" {
+		return def
 	}
-}
-
-// input maps the normalized input name back to the bench enum.
-func (s JobSpec) input() bench.Input {
-	if s.Input == bench.Big.String() {
-		return bench.Big
-	}
-	return bench.Small
+	return name
 }
 
 // BuildConfig resolves the normalized spec to a validated full-system
 // configuration: Table I defaults for the spec's mode with the
 // overrides applied.
 func (s JobSpec) BuildConfig() (core.Config, error) {
-	cfg := s.Config.apply(core.DefaultConfig(s.mode()))
+	mode, ok := core.ParseMode(s.Mode)
+	if !ok {
+		mode = core.ModeDirectStore // the default of an unnormalized spec
+	}
+	cfg := s.Config.apply(core.DefaultConfig(mode))
 	if s.Config != nil && s.Config.GPUL2Policy != nil {
 		switch cache.PolicyKind(*s.Config.GPUL2Policy) {
 		case cache.PolicyLRU, cache.PolicyTreePLRU, cache.PolicyRandom, cache.PolicySRRIP:

@@ -253,7 +253,8 @@ func (s *Server) runBench(ctx context.Context, j *job) ([]byte, error) {
 	if s.snaps != nil && !j.spec.Trace {
 		store = snapStore{s.snaps}
 	}
-	res, restored, err := bench.RunWithSnapshotContext(ctx, j.spec.Bench, j.cfg, j.spec.input(), store)
+	in, _ := bench.ParseInput(j.spec.Input) // normalized: "small" or "big"
+	res, restored, err := bench.RunWithSnapshotContext(ctx, j.spec.Bench, j.cfg, in, store)
 	j.snapRestored = restored
 	if err != nil {
 		return nil, err
@@ -462,20 +463,6 @@ func (s *Server) mergeHists(hists []*obs.Histogram) {
 			s.aggHists[i].Merge(h)
 		}
 	}
-}
-
-// histSnapshot returns an isolated copy of the aggregate histograms so
-// /metrics can render without holding histMu.
-func (s *Server) histSnapshot() []*obs.Histogram {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	out := make([]*obs.Histogram, len(s.aggHists))
-	for i, h := range s.aggHists {
-		c := obs.NewHistogram(h.Name())
-		c.Merge(h)
-		out[i] = c
-	}
-	return out
 }
 
 // safeRun executes the job's simulation with per-job panic isolation: a
@@ -769,16 +756,6 @@ func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.rec.DumpTrace(tid))
-}
-
-// queueWaitSnapshot returns an isolated copy of the queue-wait
-// histogram for rendering.
-func (s *Server) queueWaitSnapshot() *obs.Histogram {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	c := obs.NewHistogram(s.queueWait.Name())
-	c.Merge(s.queueWait)
-	return c
 }
 
 // handleBenchmarks implements GET /v1/benchmarks: what can be

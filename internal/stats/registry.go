@@ -10,10 +10,10 @@ import "sort"
 // component means adding its key here — the analyzer's error message
 // points at this file.
 //
-// Dynamic keys (built from data, e.g. the Prometheus metric names in
-// the metricDefs tables of internal/serve and internal/fleet) are
-// exempted at the call site with a //dstore:allow-statskey annotation
-// and are not listed here.
+// Dynamic keys (built from data, e.g. the Prometheus metric names of
+// the daemons' metric tables, which dtrace.StatsSet turns into a Set)
+// are exempted at the call site with a //dstore:allow-statskey
+// annotation and are not listed here.
 var knownKeys = map[string]bool{
 	// cache arrays (internal/cache)
 	"accesses":  true,
